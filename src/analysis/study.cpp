@@ -26,16 +26,27 @@ std::string collectives_fp(const smpi::CollectiveConfig& c) {
          (c.tuning ? "tuned" : "fixed") + "," + exec::encode_f64(c.comm_gear_ghz);
 }
 
-/// Exact round-trip codecs for the cached simulation-derived quantities.
-/// Doubles travel as IEEE-754 hex so a warm-cache rerun is byte-identical.
-std::string encode_params(const model::MachineParams& m) {
+}  // namespace
+
+std::string study_key(const char* kind, const std::string& machine_fp,
+                      const std::string& adapter_fp, double n, int p, double f_ghz) {
+  return std::string(kind) + '\x1f' + machine_fp + '\x1f' + adapter_fp + '\x1f' +
+         exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' + exec::encode_f64(f_ghz);
+}
+
+std::string machine_params_key(const std::string& machine_fp, bool measured) {
+  return std::string("machine-params\x1f") + machine_fp + '\x1f' +
+         (measured ? "measured" : "nominal");
+}
+
+std::string encode_machine_params(const model::MachineParams& m) {
   return m.name + '\x1f' +
          exec::encode_doubles({m.cpi, m.f_ghz, m.base_ghz, m.t_m, m.t_s, m.t_w,
                                m.p_sys_idle, m.dp_c_base, m.dp_m, m.dp_io, m.gamma,
                                m.poll_factor, m.f_comm_ghz});
 }
 
-model::MachineParams decode_params(const std::string& text) {
+model::MachineParams decode_machine_params(const std::string& text) {
   const std::size_t sep = text.find('\x1f');
   if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
   const std::vector<double> v = exec::decode_doubles(std::string_view(text).substr(sep + 1));
@@ -80,6 +91,8 @@ CounterSample decode_sample(const std::string& text) {
   s.alpha = v[9];
   return s;
 }
+
+namespace {
 
 class EpAdapter final : public BenchmarkAdapter {
  public:
@@ -362,23 +375,16 @@ EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdap
       machine_fp_(exec::machine_fingerprint(machine_)) {
   // The microbenchmark pass itself runs simulations, so it is cached too —
   // otherwise a "warm" figure rerun would still simulate its calibration.
-  const std::string key = std::string("machine-params\x1f") + machine_fp_ + '\x1f' +
-                          (measured_calibration ? "measured" : "nominal");
+  const std::string key = machine_params_key(machine_fp_, measured_calibration);
   if (cache_->enabled()) {
     if (const auto hit = cache_->load(key)) {
-      machine_params_ = decode_params(*hit);
+      machine_params_ = decode_machine_params(*hit);
       return;
     }
   }
   machine_params_ = measured_calibration ? tools::calibrate_machine(machine_)
                                          : tools::nominal_machine_params(machine_);
-  if (cache_->enabled()) cache_->store(key, encode_params(machine_params_));
-}
-
-std::string EnergyStudy::study_key(const char* kind, double n, int p, double f_ghz) const {
-  return std::string(kind) + '\x1f' + machine_fp_ + '\x1f' + adapter_->fingerprint() +
-         '\x1f' + exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' +
-         exec::encode_f64(f_ghz);
+  if (cache_->enabled()) cache_->store(key, encode_machine_params(machine_params_));
 }
 
 void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps) {
@@ -404,7 +410,9 @@ void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps)
     // Cost = fiber-scheduler workers, not ranks: a p=1024 case occupies a
     // worker or two of the host, so sweeps genuinely parallelize.
     c.threads = sim::resolve_engine_workers(0, pt.p);
-    if (cache_->enabled()) c.cache_key = study_key("calibrate", pt.n, pt.p, 0.0);
+    if (cache_->enabled()) {
+      c.cache_key = study_key("calibrate", machine_fp_, adapter_->fingerprint(), pt.n, pt.p, 0.0);
+    }
     c.run = [this, pt]() -> std::string {
       double snapped = pt.n;
       const sim::RunResult run = adapter_->run(machine_, pt.n, pt.p, RunOptions(), &snapped);
@@ -451,7 +459,9 @@ ValidationPoint EnergyStudy::validate(double n, int p, double f_ghz) const {
   point.f_ghz = f_ghz > 0.0 ? f_ghz : machine_params_.base_ghz;
 
   const std::string key =
-      cache_->enabled() ? study_key("validate", n, p, point.f_ghz) : std::string();
+      cache_->enabled()
+          ? study_key("validate", machine_fp_, adapter_->fingerprint(), n, p, point.f_ghz)
+          : std::string();
   bool measured = false;
   if (!key.empty()) {
     if (const auto hit = cache_->load(key)) {

@@ -108,8 +108,6 @@ class EnergyStudy {
   const BenchmarkAdapter& adapter() const { return *adapter_; }
 
  private:
-  std::string study_key(const char* kind, double n, int p, double f_ghz) const;
-
   sim::MachineSpec machine_;
   std::unique_ptr<BenchmarkAdapter> adapter_;
   exec::ExecConfig exec_;
@@ -118,5 +116,26 @@ class EnergyStudy {
   model::MachineParams machine_params_;
   std::unique_ptr<model::WorkloadModel> workload_;
 };
+
+// --- result-cache format ------------------------------------------------------
+//
+// EnergyStudy and the query service (src/service) content-address the same
+// simulation-derived quantities, so a figure driver and the service pointed
+// at one cache directory share warm entries. These functions are the one
+// definition of those keys and payloads. Doubles travel as IEEE-754 hex, so a
+// warm-cache rerun is byte-identical.
+
+/// Key of one simulated point: `kind` ("calibrate", "validate", the
+/// service's "measure") + machine and adapter fingerprints + (n, p, f).
+std::string study_key(const char* kind, const std::string& machine_fp,
+                      const std::string& adapter_fp, double n, int p, double f_ghz);
+
+/// Key of the machine-parameter vector: microbenchmark-measured or nominal.
+std::string machine_params_key(const std::string& machine_fp, bool measured);
+
+std::string encode_machine_params(const model::MachineParams& m);
+model::MachineParams decode_machine_params(const std::string& text);
+std::string encode_sample(const CounterSample& s);
+CounterSample decode_sample(const std::string& text);
 
 }  // namespace isoee::analysis

@@ -157,7 +157,7 @@ CaseRun run_case(const CheckConfig& c, size_t n, bool geared, bool perturbed,
     uint64_t s = c.seed ^ 0x9e27b217e57ULL;
     opts.perturb.seed = util::splitmix64(s);
     opts.perturb.yield_probability = 0.25;
-    opts.perturb.max_sleep_us = 20;
+    opts.perturb.max_delay_us = 20;
   }
 
   CaseRun run;

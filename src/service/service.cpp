@@ -114,68 +114,6 @@ void require_valid_sim_point(const std::string& app, const sim::MachineSpec& spe
   }
 }
 
-// Cache codecs, byte-compatible with the ones in src/analysis/study.cpp so
-// the service and the figure drivers share warm entries when pointed at the
-// same --cache-dir (same keys, same payload layout). Keep the two in sync.
-std::string encode_params(const model::MachineParams& m) {
-  return m.name + '\x1f' +
-         exec::encode_doubles({m.cpi, m.f_ghz, m.base_ghz, m.t_m, m.t_s, m.t_w,
-                               m.p_sys_idle, m.dp_c_base, m.dp_m, m.dp_io, m.gamma,
-                               m.poll_factor, m.f_comm_ghz});
-}
-
-model::MachineParams decode_params(const std::string& text) {
-  const std::size_t sep = text.find('\x1f');
-  if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
-  const std::vector<double> v = exec::decode_doubles(std::string_view(text).substr(sep + 1));
-  if (v.size() != 13) throw std::invalid_argument("machine-params entry: wrong arity");
-  model::MachineParams m;
-  m.name = text.substr(0, sep);
-  m.cpi = v[0];
-  m.f_ghz = v[1];
-  m.base_ghz = v[2];
-  m.t_m = v[3];
-  m.t_s = v[4];
-  m.t_w = v[5];
-  m.p_sys_idle = v[6];
-  m.dp_c_base = v[7];
-  m.dp_m = v[8];
-  m.dp_io = v[9];
-  m.gamma = v[10];
-  m.poll_factor = v[11];
-  m.f_comm_ghz = v[12];
-  return m;
-}
-
-std::string encode_sample(const analysis::CounterSample& s) {
-  return exec::encode_doubles({s.n, static_cast<double>(s.p), s.instructions,
-                               s.mem_accesses, s.mem_time, s.io_time, s.makespan,
-                               s.messages, s.bytes, s.alpha});
-}
-
-analysis::CounterSample decode_sample(const std::string& text) {
-  const std::vector<double> v = exec::decode_doubles(text);
-  if (v.size() != 10) throw std::invalid_argument("counter-sample entry: wrong arity");
-  analysis::CounterSample s;
-  s.n = v[0];
-  s.p = static_cast<int>(v[1]);
-  s.instructions = v[2];
-  s.mem_accesses = v[3];
-  s.mem_time = v[4];
-  s.io_time = v[5];
-  s.makespan = v[6];
-  s.messages = v[7];
-  s.bytes = v[8];
-  s.alpha = v[9];
-  return s;
-}
-
-std::string study_key(const char* kind, const std::string& machine_fp,
-                      const std::string& adapter_fp, double n, int p, double f_ghz) {
-  return std::string(kind) + '\x1f' + machine_fp + '\x1f' + adapter_fp + '\x1f' +
-         exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' + exec::encode_f64(f_ghz);
-}
-
 std::string json_field(const char* key, double v) {
   return std::string("\"") + key + "\":" + json_num(v);
 }
@@ -353,8 +291,8 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   require_valid_sim_point(req.app, spec, req.p);
   const double f = req.f_ghz > 0.0 ? req.f_ghz : spec.cpu.base_ghz;
   std::shared_ptr<analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
-  const std::string key = study_key("measure", exec::machine_fingerprint(spec),
-                                    adapter->fingerprint(), req.n, req.p, f);
+  const std::string key = analysis::study_key("measure", exec::machine_fingerprint(spec),
+                                              adapter->fingerprint(), req.n, req.p, f);
 
   exec::Case c;
   c.threads = sim::resolve_engine_workers(0, req.p);
@@ -449,21 +387,23 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
   {
     exec::Case c;
     c.threads = sim::resolve_engine_workers(0, 2);  // mpptest ping-pong: 2 ranks
-    c.cache_key = std::string("machine-params\x1f") + machine_fp + "\x1f" + "measured";
+    c.cache_key = analysis::machine_params_key(machine_fp, /*measured=*/true);
     const sim::MachineSpec machine = spec;
-    c.run = [machine]() { return encode_params(tools::calibrate_machine(machine)); };
+    c.run = [machine]() {
+      return analysis::encode_machine_params(tools::calibrate_machine(machine));
+    };
     cases.push_back(std::move(c));
   }
   for (const Point& pt : points) {
     exec::Case c;
     c.threads = sim::resolve_engine_workers(0, pt.p);
-    c.cache_key = study_key("calibrate", machine_fp, adapter_fp, pt.n, pt.p, 0.0);
+    c.cache_key = analysis::study_key("calibrate", machine_fp, adapter_fp, pt.n, pt.p, 0.0);
     const sim::MachineSpec machine = spec;
     c.run = [adapter, machine, pt]() -> std::string {
       double snapped = pt.n;
       const sim::RunResult run =
           adapter->run(machine, pt.n, pt.p, analysis::RunOptions(), &snapped);
-      return encode_sample(analysis::make_sample(run, snapped, pt.p));
+      return analysis::encode_sample(analysis::make_sample(run, snapped, pt.p));
     };
     cases.push_back(std::move(c));
   }
@@ -479,11 +419,11 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
         for (const exec::CaseResult& r : results) {
           if (!r.ok()) throw std::runtime_error("calibration case failed: " + r.error);
         }
-        const model::MachineParams mp = decode_params(results[0].payload);
+        const model::MachineParams mp = analysis::decode_machine_params(results[0].payload);
         std::vector<analysis::CounterSample> samples;
         samples.reserve(results.size() - 1);
         for (std::size_t i = 1; i < results.size(); ++i) {
-          samples.push_back(decode_sample(results[i].payload));
+          samples.push_back(analysis::decode_sample(results[i].payload));
         }
         const std::unique_ptr<model::WorkloadModel> workload =
             adapter->fit(samples, mp.t_m);

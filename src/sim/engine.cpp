@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -53,10 +54,11 @@ int default_engine_workers() {
 
 int resolve_engine_workers(int requested, int nranks) {
   if (nranks < 1) nranks = 1;
+  // Only 0 defers; a negative request is an explicit one and clamps to 1.
   int w = requested;
-  if (w <= 0) w = default_engine_workers();
-  if (w <= 0) w = env_engine_workers();
-  if (w <= 0) {
+  if (w == 0) w = default_engine_workers();
+  if (w == 0) w = env_engine_workers();
+  if (w == 0) {
     // Automatic policy: small jobs run fastest on one worker — a fiber switch
     // is tens of nanoseconds while a cross-worker wakeup is a cv round-trip —
     // and exec::run_batch already parallelizes across cases. Only large jobs
@@ -75,8 +77,8 @@ int resolve_engine_workers(int requested, int nranks) {
 // RankCtx
 // ---------------------------------------------------------------------------
 
-RankCtx::RankCtx(Engine* engine, int rank, int size)
-    : engine_(engine), rank_(rank), size_(size) {
+RankCtx::RankCtx(Engine* engine, detail::FiberScheduler* sched, int rank, int size)
+    : engine_(engine), sched_(sched), rank_(rank), size_(size) {
   const auto& spec = engine_->machine();
   const auto& opts = engine_->options();
   ghz_ = opts.initial_ghz > 0.0 ? opts.initial_ghz : spec.cpu.base_ghz;
@@ -106,21 +108,13 @@ void RankCtx::maybe_perturb() {
   const auto& spec = engine_->options().perturb;
   if (perturb_rng_.uniform() >= spec.yield_probability) return;
   const std::uint64_t us =
-      spec.max_sleep_us > 0
-          ? perturb_rng_.below(static_cast<std::uint64_t>(spec.max_sleep_us) + 1)
+      spec.max_delay_us > 0
+          ? perturb_rng_.below(static_cast<std::uint64_t>(spec.max_delay_us) + 1)
           : 0;
-  if (engine_->sched_ != nullptr) {
-    // Fiber backend: suspend and re-enqueue this rank `us` virtual
-    // microseconds later in dispatch order — peers overtake it, no host time
-    // is burned, and the virtual clock is untouched.
-    engine_->sched_->maybe_yield(rank_, clock_, static_cast<std::uint32_t>(us));
-    return;
-  }
-  if (us == 0) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
+  // Suspend and re-enqueue this rank `us` virtual microseconds later in
+  // dispatch order — peers overtake it, no host time is burned, and the
+  // virtual clock is untouched.
+  sched_->maybe_yield(rank_, clock_, static_cast<std::uint32_t>(us));
 }
 
 const MachineSpec& RankCtx::machine() const { return engine_->machine(); }
@@ -291,7 +285,7 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
                    obs::flow_id(rank_, dst, tag, seq));
   }
 
-  Engine::Message msg;
+  detail::SimMessage msg;
   msg.arrival = clock_ + static_cast<double>(payload.size()) * per_byte;
   msg.payload.assign(payload.begin(), payload.end());
 
@@ -302,7 +296,7 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
     counters_.messages_intra_node += 1;
     counters_.bytes_intra_node += payload.size();
   }
-  engine_->deliver(dst, rank_, tag, std::move(msg));
+  sched_->deliver(dst, rank_, tag, std::move(msg));
 }
 
 std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
@@ -310,7 +304,7 @@ std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
   // Perturb before blocking on the mailbox: a delayed receiver lets senders
   // race ahead, which is the interleaving that stresses tag-range recycling.
   maybe_perturb();
-  Engine::Message msg = engine_->take(rank_, src, tag, clock_);
+  detail::SimMessage msg = sched_->take(rank_, src, tag, clock_);
   // Completion cannot precede the payload's arrival; the gap is receive wait.
   const double wait = std::max(0.0, msg.arrival - clock_);
   advance(wait, Activity::kNetwork);
@@ -374,52 +368,6 @@ Engine::Engine(MachineSpec spec, Options opts) : spec_(std::move(spec)), opts_(o
   }
 }
 
-void Engine::deliver(int dst, int src, int tag, Message msg) {
-  if (sched_ != nullptr) {
-    detail::SimMessage sm;
-    sm.arrival = msg.arrival;
-    sm.payload = std::move(msg.payload);
-    sched_->deliver(dst, src, tag, std::move(sm));
-    return;
-  }
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
-  {
-    std::lock_guard<std::mutex> lock(box.mu);
-    box.queues[{src, tag}].push_back(std::move(msg));
-  }
-  box.cv.notify_all();
-}
-
-Engine::Message Engine::take(int dst, int src, int tag, double now) {
-  if (sched_ != nullptr) {
-    detail::SimMessage sm = sched_->take(dst, src, tag, now);
-    Message msg;
-    msg.arrival = sm.arrival;
-    msg.payload = std::move(sm.payload);
-    return msg;
-  }
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  auto& queue = box.queues[{src, tag}];
-  box.cv.wait(lock, [&] { return !queue.empty() || box.poisoned; });
-  // Messages that already arrived are still delivered after poisoning; only a
-  // receive that would block forever (its sender is gone) is abandoned.
-  if (queue.empty()) throw RankAbandoned();
-  Message msg = std::move(queue.front());
-  queue.pop_front();
-  return msg;
-}
-
-void Engine::poison_all() {
-  for (auto& box : mailboxes_) {
-    {
-      std::lock_guard<std::mutex> lock(box->mu);
-      box->poisoned = true;
-    }
-    box->cv.notify_all();
-  }
-}
-
 RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   EngineMetrics::get().runs_started.inc();
   if (nranks <= 0) throw std::invalid_argument("run: nranks must be positive");
@@ -429,9 +377,17 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  RunResult result = opts_.backend == EngineBackend::kThreads
-                         ? run_threads(nranks, body)
-                         : run_fibers(nranks, body);
+  detail::FiberScheduler sched(nranks, resolve_engine_workers(opts_.workers, nranks));
+  std::vector<std::unique_ptr<RankCtx>> contexts;
+  contexts.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, &sched, r, nranks)));
+  }
+  if (std::exception_ptr first_error =
+          sched.run([&](int r) { body(*contexts[static_cast<std::size_t>(r)]); })) {
+    std::rethrow_exception(first_error);
+  }
+  RunResult result = aggregate(contexts);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (wall > 0.0) {
@@ -439,71 +395,6 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
         result.makespan * static_cast<double>(nranks) / wall);
   }
   return result;
-}
-
-RunResult Engine::run_fibers(int nranks, const std::function<void(RankCtx&)>& body) {
-  detail::FiberScheduler::Options sopts;
-  sopts.workers = resolve_engine_workers(opts_.workers, nranks);
-  sopts.stack_bytes = opts_.fiber_stack_bytes;
-  detail::FiberScheduler sched(nranks, sopts);
-
-  std::vector<std::unique_ptr<RankCtx>> contexts;
-  contexts.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, r, nranks)));
-  }
-
-  sched_ = &sched;
-  std::exception_ptr first_error;
-  try {
-    first_error = sched.run(
-        [&](int r) { body(*contexts[static_cast<std::size_t>(r)]); });
-  } catch (...) {
-    sched_ = nullptr;
-    throw;
-  }
-  sched_ = nullptr;
-  if (first_error) std::rethrow_exception(first_error);
-  return aggregate(contexts);
-}
-
-RunResult Engine::run_threads(int nranks, const std::function<void(RankCtx&)>& body) {
-  mailboxes_.clear();
-  mailboxes_.reserve(static_cast<std::size_t>(nranks));
-  for (int i = 0; i < nranks; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
-
-  std::vector<std::unique_ptr<RankCtx>> contexts;
-  contexts.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, r, nranks)));
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        body(*contexts[static_cast<std::size_t>(r)]);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        // Unblock peers waiting on this rank: poison every mailbox so blocked
-        // receives throw RankAbandoned instead of deadlocking. first_error is
-        // recorded before poisoning, so the rethrown error is always the root
-        // cause, never a secondary abandonment.
-        poison_all();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  mailboxes_.clear();
-  if (first_error) std::rethrow_exception(first_error);
-  return aggregate(contexts);
 }
 
 RunResult Engine::aggregate(std::vector<std::unique_ptr<RankCtx>>& contexts) {

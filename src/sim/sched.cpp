@@ -40,13 +40,11 @@ struct FiberScheduler::RankSlot {
   bool blocked = false;     // parked in take(), waiting on waiting_key
   bool poisoned = false;
   double block_key = 0.0;   // virtual clock at block time: the wakeup key
-  std::uint64_t delivered = 0;
 };
 
 struct FiberScheduler::Worker {
   int id = 0;
   Fiber home;               // the OS thread's own context, adopted in worker_loop
-  std::uint64_t dispatches = 0;
   // Host-time profiler slot. Disengaged (a single null-check per set_phase)
   // unless the process-wide SchedProfiler is sampling.
   obs::SchedProfiler::WorkerHandle prof;
@@ -67,21 +65,20 @@ struct FiberScheduler::Worker {
   std::thread thread;
 };
 
-FiberScheduler::FiberScheduler(int nranks, Options opts)
-    : nranks_(nranks), opts_(opts) {
+FiberScheduler::FiberScheduler(int nranks, int workers) : nranks_(nranks) {
   if (nranks <= 0) throw std::invalid_argument("FiberScheduler: nranks must be > 0");
-  opts_.workers = std::clamp(opts_.workers, 1, nranks);
-  single_ = opts_.workers == 1;
+  workers = std::clamp(workers, 1, nranks);
+  single_ = workers == 1;
   slots_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     auto slot = std::make_unique<RankSlot>();
     slot->sched = this;
     slot->rank = r;
-    slot->owner = r % opts_.workers;
+    slot->owner = r % workers;
     slots_.push_back(std::move(slot));
   }
-  workers_.reserve(static_cast<std::size_t>(opts_.workers));
-  for (int w = 0; w < opts_.workers; ++w) {
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->id = w;
   }
@@ -94,7 +91,7 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
   // Arm every fiber and seed the ready heaps in rank order at virtual time 0.
   // This runs single-threaded: no locks needed for the direct heap pushes.
   for (auto& slot : slots_) {
-    slot->fiber.create(opts_.stack_bytes, &FiberScheduler::fiber_main, slot.get());
+    slot->fiber.create(&FiberScheduler::fiber_main, slot.get());
     workers_[static_cast<std::size_t>(slot->owner)]->heap.push(
         ReadyItem{0.0, slot->rank});
   }
@@ -105,7 +102,7 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
   // per-worker handles stay disengaged and every hook below costs one branch.
   obs::sched_profiler().maybe_start_from_env();
 
-  if (opts_.workers == 1) {
+  if (single_) {
     // Hot path for the hundreds of small study cases: run the whole schedule
     // inline on the calling thread — no thread spawn, no cv traffic.
     worker_loop(0);
@@ -116,10 +113,6 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
     }
     for (auto& wk : workers_) wk->thread.join();
   }
-
-  stats_ = Stats{};
-  for (const auto& wk : workers_) stats_.dispatches += wk->dispatches;
-  for (const auto& slot : slots_) stats_.messages += slot->delivered;
   body_ = nullptr;
   return first_error_;
 }
@@ -169,7 +162,6 @@ void FiberScheduler::dispatch(Worker& wk, int rank) {
   RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
   slot.resume_to = &wk.home;
   slot.state = RankSlot::State::kRunning;
-  ++wk.dispatches;
   wk.prof.set_phase(obs::SchedPhase::kFiberRun, rank);
   Fiber::switch_to(wk.home, slot.fiber);
   wk.prof.set_phase(obs::SchedPhase::kHeapDispatch);
@@ -256,7 +248,6 @@ void FiberScheduler::deliver(int dst, int src, int tag, SimMessage msg) {
       idx = it->second;
     }
     slot.fifos[idx].push_back(std::move(msg));
-    ++slot.delivered;
     if (slot.blocked && slot.waiting_key == key) {
       slot.blocked = false;
       wake = true;
@@ -305,8 +296,7 @@ void FiberScheduler::stop_all() {
 }
 
 // Records the root-cause deadlock error (all live ranks blocked in recv on
-// messages that can never arrive — the old thread engine hung forever here)
-// and poisons the mailboxes so every blocked fiber unwinds with RankAbandoned.
+// messages that can never arrive) and poisons the mailboxes so every blocked fiber unwinds with RankAbandoned.
 void FiberScheduler::record_deadlock() {
   {
     std::lock_guard<std::mutex> elk(err_mu_);

@@ -21,12 +21,11 @@
 // exception and poisons every mailbox; blocked peers are re-enqueued, drain
 // any messages that already arrived, then unwind with RankAbandoned. The
 // scheduler also detects true deadlock (all live ranks blocked, nothing
-// ready anywhere) and converts the forever-hang of the old thread engine
-// into a thrown error. All fibers are always driven to completion — unwound
+// ready anywhere) and throws instead of hanging forever. All fibers are always driven to completion — unwound
 // or finished — before run() returns, so no fiber stack ever leaks.
 //
-// Perturbation: maybe_yield() implements PerturbSpec under the fiber engine —
-// a seeded *virtual-scheduler* reordering. The yielding fiber is re-enqueued
+// Perturbation: maybe_yield() implements PerturbSpec — a seeded
+// *virtual-scheduler* reordering. The yielding fiber is re-enqueued
 // with its dispatch key pushed `delay_us` virtual microseconds into the
 // future, letting peers (e.g. racing senders) overtake it. No host sleeps:
 // perturbed runs cost the same as quiet ones and still stress mailbox
@@ -57,18 +56,8 @@ struct SimMessage {
 
 class FiberScheduler {
  public:
-  struct Options {
-    int workers = 1;                // OS threads multiplexing the fibers
-    std::size_t stack_bytes = 0;    // per-fiber stack; 0 = Fiber default
-  };
-
-  /// Statistics of one scheduled run (summed over workers).
-  struct Stats {
-    std::uint64_t dispatches = 0;   // fiber resumes (starts + wakeups + yields)
-    std::uint64_t messages = 0;     // deliveries through the mailboxes
-  };
-
-  FiberScheduler(int nranks, Options opts);
+  /// `workers` OS threads multiplex the fibers (clamped to [1, nranks]).
+  FiberScheduler(int nranks, int workers);
   ~FiberScheduler();
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
@@ -77,8 +66,6 @@ class FiberScheduler {
   /// Returns the first (root-cause) exception, or nullptr on success. Every
   /// fiber is guaranteed to have finished or fully unwound on return.
   std::exception_ptr run(const std::function<void(int)>& body);
-
-  const Stats& stats() const { return stats_; }
 
   // --- primitives called from rank fibers -----------------------------------
 
@@ -121,7 +108,6 @@ class FiberScheduler {
   void record_deadlock();
 
   int nranks_;
-  Options opts_;
   // One-worker runs (the common case: hundreds of small study cases, where
   // exec::run_batch parallelizes across cases instead) execute the whole
   // schedule on the calling thread, so every mailbox lock, inbox hand-off,
@@ -140,8 +126,6 @@ class FiberScheduler {
   std::atomic<int> done_count_{0};
   std::atomic<std::uint64_t> ready_total_{0};  // enqueued, not yet dispatched
   std::atomic<bool> stop_{false};
-
-  Stats stats_;
 };
 
 }  // namespace isoee::sim::detail

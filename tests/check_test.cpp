@@ -209,7 +209,7 @@ ManyCollectivesRun run_many_collectives(bool perturbed) {
   opts.perturb.enabled = perturbed;
   opts.perturb.seed = 0xadd5eedULL;
   opts.perturb.yield_probability = 0.3;
-  opts.perturb.max_sleep_us = 10;
+  opts.perturb.max_delay_us = 10;
   sim::Engine engine(machine, opts);
 
   const int p = 4;
@@ -321,7 +321,7 @@ GovernedTraceRun run_governed_ft_trace(bool perturbed, const std::string& path) 
   opts.perturb.enabled = perturbed;
   opts.perturb.seed = 0x50a4ULL;
   opts.perturb.yield_probability = 0.3;
-  opts.perturb.max_sleep_us = 10;
+  opts.perturb.max_delay_us = 10;
   sim::Engine eng(machine, opts);
 
   GovernedTraceRun out;

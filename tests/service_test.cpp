@@ -8,21 +8,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <filesystem>
-#include <mutex>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "benchtools/tracestats.hpp"
+#include "exec/codec.hpp"
 #include "model/isocontour.hpp"
 #include "model/serialize.hpp"
 #include "model/workloads.hpp"
 #include "obs/drift.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
+#include "service/scheduler.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "sim/engine.hpp"
@@ -326,28 +328,46 @@ TEST(SimTier, MeasuredPredictGoesSimThenCacheAndIsByteStable) {
 }
 
 TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
-  ServiceConfig config;
+  // The overlap is certain, not likely: the job's only case blocks until every
+  // client holds its ticket, so no identical submission can arrive after the
+  // job was fulfilled and its in-flight entry erased (which, with no cache,
+  // would legitimately simulate again).
+  service::SchedulerConfig config;
   config.jobs = 2;
-  Service svc{config};
+  service::SimScheduler scheduler{config};
   constexpr int kClients = 4;
-  const std::string line = measured_line(24000, 2);
+  std::latch all_issued(kClients);
+  const std::shared_ptr<const analysis::BenchmarkAdapter> adapter = analysis::make_ep_adapter();
+  const auto make_cases = [&] {
+    exec::Case c;
+    c.run = [&all_issued, adapter]() -> std::string {
+      all_issued.wait();
+      const sim::RunResult run =
+          adapter->run(sim::system_g(), 24000, 2, analysis::RunOptions(), nullptr);
+      return exec::encode_doubles({run.total_energy_j(), run.makespan});
+    };
+    std::vector<exec::Case> cases;
+    cases.push_back(std::move(c));
+    return cases;
+  };
+  const auto fold = [](const std::vector<exec::CaseResult>& results) {
+    if (!results[0].ok()) throw std::runtime_error(results[0].error);
+    return results[0].payload;
+  };
 
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
   std::vector<std::string> responses(kClients);
+  std::atomic<int> coalesced{0};
   {
-    // Barrier so all clients are in flight before any simulation finishes.
-    std::mutex mu;
-    std::condition_variable cv;
-    int ready = 0;
     std::vector<std::thread> clients;
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          if (++ready == kClients) cv.notify_all();
-          cv.wait(lock, [&] { return ready == kClients; });
-        }
-        responses[i] = svc.handle_line(line);
+        const service::SimScheduler::Ticket ticket =
+            scheduler.submit("measure-ep-24000-p2", make_cases(), fold);
+        all_issued.count_down();
+        ASSERT_FALSE(ticket.rejected);
+        if (ticket.coalesced) coalesced.fetch_add(1);
+        responses[static_cast<std::size_t>(i)] = ticket.result.get().payload;
       });
     }
     for (auto& t : clients) t.join();
@@ -355,10 +375,9 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
 
   EXPECT_EQ(sim::Engine::total_runs_started() - runs_before, 1u)
       << "N identical in-flight queries must share one simulation";
-  for (int i = 0; i < kClients; ++i) {
-    EXPECT_TRUE(response_ok(parse_response(responses[i])));
-    EXPECT_EQ(stable_fragment(responses[i]), stable_fragment(responses[0]));
-  }
+  EXPECT_EQ(coalesced.load(), kClients - 1);
+  EXPECT_EQ(exec::decode_doubles(responses[0]).size(), 2u);
+  for (int i = 0; i < kClients; ++i) EXPECT_EQ(responses[i], responses[0]);
 }
 
 TEST(SimTier, AdmissionControlRejectsWhenPendingCapIsZero) {
@@ -414,6 +433,31 @@ TEST(SimTier, CalibrateFitsInstallsAndWarmRerunsFromCache) {
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
   EXPECT_EQ(stable_fragment(first), stable_fragment(second));
   EXPECT_EQ(stable_fragment(predicted), stable_fragment(svc.handle_line(predict_line)));
+}
+
+TEST(SimTier, ServiceAnswersFromACacheWrittenByEnergyStudy) {
+  // EnergyStudy and the service share one cache format (analysis/study.hpp):
+  // a calibration a figure driver cached is a warm, zero-simulation hit for
+  // the service's calibrate request on the same points.
+  const std::string dir = scratch_dir("study_to_service");
+  {
+    exec::ExecConfig exec;
+    exec.cache_dir = dir;
+    analysis::EnergyStudy study(sim::system_g(), analysis::make_ep_adapter(),
+                                /*measured_calibration=*/true, exec);
+    const std::vector<double> ns = {20000, 40000};
+    const std::vector<int> ps = {2};
+    study.calibrate(ns, ps);
+  }
+  ServiceConfig config;
+  config.cache_dir = dir;
+  Service svc{config};
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  const auto v = parse_response(svc.handle_line(
+      R"({"method":"calibrate","params":{"machine":"system_g","app":"EP","ns":[20000,40000],"ps":[2]}})"));
+  ASSERT_TRUE(response_ok(v));
+  EXPECT_EQ(tier_of(v), "cache");
+  EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
 }
 
 TEST(SimTier, SimulationPointValidationHappensBeforeAnySimulation) {
