@@ -114,6 +114,19 @@ std::function<void(sim::RankCtx&)> allreduce_body(int iters) {
   };
 }
 
+/// Naive all-to-all: every rank posts its p-1 sends before its first
+/// receive, so each mailbox holds up to p-1 pending messages. That is the
+/// worst case for the mailbox's linear match scan.
+std::function<void(sim::RankCtx&)> alltoall_naive_body() {
+  return [](sim::RankCtx& ctx) {
+    smpi::CollectiveConfig config;
+    config.alltoall = smpi::AlltoallAlgo::kNaive;
+    smpi::Comm comm(ctx, config);
+    std::vector<double> in(static_cast<std::size_t>(ctx.size()), 1.0), out(in.size());
+    comm.alltoall(std::span<const double>(in), std::span<double>(out), 1);
+  };
+}
+
 /// FT: the real NPB kernel (actual FFT numerics + transpose all-to-alls).
 /// Bruck all-to-all keeps the transpose at log2(p) steps so p=4096 stays in
 /// single-digit seconds — the pairwise default would be p-1 steps of the
@@ -156,6 +169,7 @@ int main(int argc, char** argv) {
   cases.push_back({"ring", 4096, 1, ring_body(4096, 50)});
   cases.push_back({"token_ring", 1024, 1, token_ring_body(1024, 20)});
   cases.push_back({"allreduce", 1024, 1, allreduce_body(20)});
+  cases.push_back({"alltoall_naive", 1024, 1, alltoall_naive_body()});
   // The repo's dominant load: sweeps of many short jobs (fig05 runs hundreds
   // of cases), so per-job engine setup matters.
   cases.push_back({"sweep20", 1024, 20, allreduce_body(2)});

@@ -8,6 +8,7 @@
 //   trace_stats run.json --metrics m.json    also report the engine.*/sim.*
 //                                            counters from a --metrics-out
 //                                            snapshot (.json or .csv)
+//   trace_stats --metrics m.json             report the snapshot alone
 //
 // Energy attribution joins every span against the per-rank segment timeline
 // reconstructed from the same file, using the PowerPack power model of
@@ -214,7 +215,8 @@ int validate_only(const std::vector<std::string>& paths) {
 int main(int argc, char** argv) {
   isoee::util::Cli cli(
       "trace_stats: report / validate / diff obs trace.json files.\n"
-      "usage: trace_stats <trace.json> [<other.json>] [flags]");
+      "usage: trace_stats <trace.json> [<other.json>] [flags]\n"
+      "       trace_stats --metrics <snapshot.json|.csv>");
   cli.flag("machine", "auto", "power model: system_g | dori | auto (trace metadata)")
       .flag("validate", "false", "structural validation only; exit 1 when invalid")
       .flag("csv", "", "also write report tables under this path prefix")
@@ -237,12 +239,17 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (paths.empty() || paths.size() > 2) {
+  const std::string metrics = cli.get("metrics");
+  if ((paths.empty() && metrics.empty()) || paths.size() > 2) {
     std::fprintf(stderr, "%s\n", cli.usage().c_str());
     return 2;
   }
 
   try {
+    if (paths.empty()) {  // a metrics snapshot on its own
+      print_metrics_file(metrics);
+      return 0;
+    }
     if (cli.get_bool("validate")) return validate_only(paths);
 
     const LoadedTrace a = isoee::benchtools::load_trace(paths[0]);
@@ -254,9 +261,7 @@ int main(int argc, char** argv) {
     const TraceReport report_a = isoee::benchtools::analyze(a, machine);
     print_report(paths[0], report_a);
 
-    if (const std::string metrics = cli.get("metrics"); !metrics.empty()) {
-      print_metrics_file(metrics);
-    }
+    if (!metrics.empty()) print_metrics_file(metrics);
 
     const std::string csv = cli.get("csv");
     if (!csv.empty()) {

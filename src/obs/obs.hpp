@@ -82,10 +82,10 @@ inline void emit_flow(TraceSink& sink, bool begin, int rank, double t,
   sink.on_event(std::move(e));
 }
 
-/// Deterministic flow id for the `seq`-th message on the (src, dst, tag)
-/// channel. Matching is FIFO per (source, tag), so sender and receiver derive
-/// the same id by counting their own sends/receives on the channel.
-inline std::uint64_t flow_id(int src, int dst, int tag, std::uint64_t seq) {
+/// Deterministic flow id for the `seq`-th message rank `src` sends in a run.
+/// The sender computes it once and the message carries it to the receiver,
+/// so both ends of the flow agree without either counting per channel.
+inline std::uint64_t flow_id(int src, std::uint64_t seq) {
   auto mix = [](std::uint64_t h, std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     h *= 0xbf58476d1ce4e5b9ULL;
@@ -93,8 +93,6 @@ inline std::uint64_t flow_id(int src, int dst, int tag, std::uint64_t seq) {
   };
   std::uint64_t h = 0x0b5e7ab111ef5ULL;
   h = mix(h, static_cast<std::uint64_t>(src));
-  h = mix(h, static_cast<std::uint64_t>(dst));
-  h = mix(h, static_cast<std::uint64_t>(tag));
   h = mix(h, seq);
   return h;
 }

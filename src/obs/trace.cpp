@@ -94,8 +94,8 @@ std::string ChromeTraceWriter::render(
     std::span<const TraceEvent> sorted,
     const std::vector<std::pair<std::string, std::string>>& metadata) {
   // Exported flow ids are renumbered FIFO per emitted id: a multi-run sink
-  // (bench --trace-out pools every engine run, and every run counts its
-  // (src, dst, tag) channels from zero) reuses raw ids, but the Trace Event
+  // (bench --trace-out pools every engine run, and every run numbers each
+  // rank's sends from zero) reuses raw ids, but the Trace Event
   // Format needs file-unique ones for unambiguous s->f binding. Walking the
   // sorted stream keeps the renumbering deterministic.
   std::map<std::uint64_t, std::deque<std::uint64_t>> open_flows;

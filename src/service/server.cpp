@@ -17,11 +17,13 @@ namespace isoee::service {
 
 namespace {
 
-/// Writes the whole buffer, absorbing short writes. False on error.
+/// Writes the whole buffer, absorbing short writes. False on error, which
+/// callers treat as a closed connection. MSG_NOSIGNAL turns a write to a peer
+/// that already closed into EPIPE instead of a process-killing SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n <= 0) return false;
     off += static_cast<std::size_t>(n);
   }

@@ -277,15 +277,14 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
   }
   const double inject_t0 = clock_;
   advance(ts, Activity::kNetwork);
+  detail::SimMessage msg;
   if (obs_sink_ != nullptr) {
     // Flow start anchored at the injection span's start so Perfetto binds the
-    // arrow to the sender's Network slice.
-    const std::uint64_t seq = flow_seq_out_[{dst, tag}]++;
-    obs::emit_flow(*obs_sink_, /*begin=*/true, rank_, inject_t0,
-                   obs::flow_id(rank_, dst, tag, seq));
+    // arrow to the sender's Network slice; the message carries the id to the
+    // receiver's flow end.
+    msg.flow_id = obs::flow_id(rank_, counters_.messages_sent);
+    obs::emit_flow(*obs_sink_, /*begin=*/true, rank_, inject_t0, msg.flow_id);
   }
-
-  detail::SimMessage msg;
   msg.arrival = clock_ + static_cast<double>(payload.size()) * per_byte;
   msg.payload.assign(payload.begin(), payload.end());
 
@@ -309,9 +308,7 @@ std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
   const double wait = std::max(0.0, msg.arrival - clock_);
   advance(wait, Activity::kNetwork);
   if (obs_sink_ != nullptr) {
-    const std::uint64_t seq = flow_seq_in_[{src, tag}]++;
-    obs::emit_flow(*obs_sink_, /*begin=*/false, rank_, clock_,
-                   obs::flow_id(src, rank_, tag, seq));
+    obs::emit_flow(*obs_sink_, /*begin=*/false, rank_, clock_, msg.flow_id);
   }
   counters_.messages_received += 1;
   counters_.bytes_received += msg.payload.size();

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -201,10 +200,6 @@ class RankCtx {
   // RankCounters — that struct's layout is serialized into exec::ResultCache
   // payloads — but summed into the engine.events_processed metric.
   std::uint64_t events_ = 0;
-  // Per-channel message ordinals for flow-event ids (only touched when a
-  // sink is installed). Keys: (peer, tag).
-  std::map<std::pair<int, int>, std::uint64_t> flow_seq_out_;
-  std::map<std::pair<int, int>, std::uint64_t> flow_seq_in_;
 };
 
 /// Scheduler-order perturbation (off by default). When enabled, every rank

@@ -13,7 +13,7 @@ namespace isoee::sim::detail {
 
 // One simulated rank: its fiber, its mailbox, and its scheduling state.
 //
-// Locking: `mu` guards only the mailbox (index/fifos/counters) and the
+// Locking: `mu` guards only the mailbox (`pending`) and the
 // blocked/waiting_key/poisoned flags — the handshake between a rank blocking
 // in take() and a peer delivering into its mailbox. All other fields are
 // touched only by the slot's owner worker (or single-threadedly in run()),
@@ -31,11 +31,13 @@ struct FiberScheduler::RankSlot {
 
   // --- mailbox (guarded by mu) ---
   std::mutex mu;
-  // Channel (src,tag) -> dense fifo index. Fifos are never erased, only
-  // drained and reused, so steady-state messaging on a warm channel allocates
-  // nothing but the payload buffer itself.
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  std::vector<std::deque<SimMessage>> fifos;
+  // Delivered, not yet taken, in arrival order. take() removes the first
+  // entry on its channel, so matching is FIFO per (src, tag).
+  struct Pending {
+    std::uint64_t key = 0;  // channel_key(src, tag)
+    SimMessage msg;
+  };
+  std::vector<Pending> pending;
   std::uint64_t waiting_key = 0;
   bool blocked = false;     // parked in take(), waiting on waiting_key
   bool poisoned = false;
@@ -207,15 +209,13 @@ SimMessage FiberScheduler::take(int rank, int src, int tag, double now) {
   std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
   if (!single_) lk.lock();
   for (;;) {
-    auto it = slot.index.find(key);
-    if (it != slot.index.end()) {
-      std::deque<SimMessage>& q = slot.fifos[it->second];
-      if (!q.empty()) {
-        // Fast path: the message already arrived — no context switch at all.
-        SimMessage msg = std::move(q.front());
-        q.pop_front();
-        return msg;
-      }
+    const auto it = std::find_if(slot.pending.begin(), slot.pending.end(),
+                                 [key](const RankSlot::Pending& p) { return p.key == key; });
+    if (it != slot.pending.end()) {
+      // Fast path: the message already arrived — no context switch at all.
+      SimMessage msg = std::move(it->msg);
+      slot.pending.erase(it);
+      return msg;
     }
     if (slot.poisoned) {
       throw RankAbandoned();
@@ -238,16 +238,7 @@ void FiberScheduler::deliver(int dst, int src, int tag, SimMessage msg) {
   {
     std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
     if (!single_) lk.lock();
-    auto it = slot.index.find(key);
-    std::uint32_t idx;
-    if (it == slot.index.end()) {
-      idx = static_cast<std::uint32_t>(slot.fifos.size());
-      slot.fifos.emplace_back();
-      slot.index.emplace(key, idx);
-    } else {
-      idx = it->second;
-    }
-    slot.fifos[idx].push_back(std::move(msg));
+    slot.pending.push_back(RankSlot::Pending{key, std::move(msg)});
     if (slot.blocked && slot.waiting_key == key) {
       slot.blocked = false;
       wake = true;

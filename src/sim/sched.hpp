@@ -7,12 +7,14 @@
 // fibers are dispatched in deterministic virtual-time order: smallest rank
 // virtual clock first, ties to the lowest rank id.
 //
-// Mailboxes are sharded per rank (one fine-grained lock each, FIFO queues
-// keyed by (src, tag)); queue storage is dense and reused across channels so
-// steady-state messaging allocates only the payload buffer itself. Delivery
-// to a blocked rank re-enqueues it on its owner worker's inbox and wakes that
-// worker. Because virtual clocks are strictly per rank, message matching is
-// FIFO per channel, and wildcards do not exist, *every* dispatch order yields
+// Mailboxes are sharded per rank (one fine-grained lock each). A mailbox is
+// one arrival-ordered list of pending messages tagged with their (src, tag)
+// channel; a receive takes the first entry on its channel, skipping the rest.
+// The list holds only messages delivered and not yet received, so it is
+// bounded by what peers send ahead of this rank. Delivery to a blocked rank
+// re-enqueues it on its owner worker's inbox and wakes that worker. Because
+// virtual clocks are strictly per rank, message matching is FIFO per
+// channel, and wildcards do not exist, *every* dispatch order yields
 // bit-identical results — worker count and perturbation change only host
 // execution order, never a virtual-time observable. (src/check's perturbed
 // and cross-worker digest oracles assert exactly this.)
@@ -36,12 +38,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -51,6 +51,7 @@ namespace isoee::sim::detail {
 /// One in-flight simulated message (payload + virtual arrival time).
 struct SimMessage {
   double arrival = 0.0;
+  std::uint64_t flow_id = 0;  // trace flow id, set by a traced sender (else 0)
   std::vector<std::byte> payload;
 };
 

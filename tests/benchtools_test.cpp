@@ -1,8 +1,11 @@
 // Tests for the calibration tools (lat_mem_rd staircase, mpptest parameter
-// recovery, full machine-vector calibration against ground truth) and the
-// collapsed-stack flamegraph path of trace_stats.
+// recovery, full machine-vector calibration against ground truth), the
+// collapsed-stack flamegraph path of trace_stats, and the trace_stats CLI.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "benchtools/latency.hpp"
 #include "benchtools/mpptest.hpp"
 #include "benchtools/tracestats.hpp"
+#include "obs/metrics.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -190,6 +194,40 @@ TEST(Collapsed, ByDepthAggregatesAndRanks) {
   const auto by_rank = benchtools::collapsed_by_depth(lines, 3);
   ASSERT_EQ(by_rank.size(), 3u);
   EXPECT_EQ(by_rank[0].first, "rank_1");
+}
+
+/// Runs the trace_stats binary with `args`; returns its exit code and
+/// captures stdout+stderr into `output`.
+int run_trace_stats(const std::string& args, std::string& output) {
+  const std::string cmd = std::string(ISOEE_TRACE_STATS_BIN) + " " + args + " 2>&1";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) output.append(buf, n);
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(TraceStatsCli, MetricsSnapshotIsReportedWithoutATrace) {
+  obs::MetricsRegistry registry;
+  registry.counter("engine.events_processed").inc(4242);
+  registry.counter("sim.messages_sent").inc(17);
+  const auto dir = std::filesystem::temp_directory_path();
+  for (const char* ext : {".json", ".csv"}) {
+    const std::string path = (dir / (std::string("isoee_tracestats_cli") + ext)).string();
+    ASSERT_TRUE(ext == std::string(".json") ? registry.write_json(path)
+                                            : registry.write_csv(path));
+    std::string output;
+    EXPECT_EQ(run_trace_stats("--metrics " + path, output), 0) << output;
+    EXPECT_NE(output.find("engine.events_processed"), std::string::npos) << output;
+    EXPECT_NE(output.find("4242"), std::string::npos) << output;
+    EXPECT_NE(output.find("sim.messages_sent"), std::string::npos) << output;
+    std::filesystem::remove(path);
+  }
+  // No trace and no snapshot is still a usage error.
+  std::string output;
+  EXPECT_EQ(run_trace_stats("", output), 2) << output;
 }
 
 }  // namespace

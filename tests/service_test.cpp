@@ -1,13 +1,21 @@
 // Tier-1 tests for src/service: the wire protocol (strict parsing + seeded
 // fuzzing over the request grammar), the three-tier answer path (model /
 // cache / sim), request coalescing, admission control, the calibrate flow,
-// and the stdin transport.
+// and the stdin and TCP transports.
 //
 // The sim-tier tests use small EP cases so the whole binary stays in the
-// seconds range; the serving-smoke CI job covers the TCP transport and load.
+// seconds range; the serving-smoke CI job covers TCP load.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <latch>
 #include <sstream>
@@ -16,7 +24,6 @@
 #include <vector>
 
 #include "analysis/study.hpp"
-#include "benchtools/tracestats.hpp"
 #include "exec/codec.hpp"
 #include "model/isocontour.hpp"
 #include "model/serialize.hpp"
@@ -30,6 +37,7 @@
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
 #include "benchtools/calibrate.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -50,26 +58,26 @@ std::string scratch_dir(const std::string& name) {
 
 /// Parses a response line and returns the JSON document (asserts it parses —
 /// every response the service emits must be a valid JSON object).
-benchtools::JsonValue parse_response(const std::string& line) {
-  benchtools::JsonValue v;
-  EXPECT_NO_THROW(v = benchtools::parse_json(line)) << line;
-  EXPECT_TRUE(v.is(benchtools::JsonValue::Type::kObject)) << line;
+util::JsonValue parse_response(const std::string& line) {
+  util::JsonValue v;
+  EXPECT_NO_THROW(v = util::parse_json(line)) << line;
+  EXPECT_TRUE(v.is(util::JsonValue::Type::kObject)) << line;
   return v;
 }
 
-bool response_ok(const benchtools::JsonValue& v) {
+bool response_ok(const util::JsonValue& v) {
   const auto* ok = v.find("ok");
-  return ok != nullptr && ok->is(benchtools::JsonValue::Type::kBool) && ok->boolean;
+  return ok != nullptr && ok->is(util::JsonValue::Type::kBool) && ok->boolean;
 }
 
-std::string error_code_of(const benchtools::JsonValue& v) {
+std::string error_code_of(const util::JsonValue& v) {
   const auto* err = v.find("error");
   if (err == nullptr) return "";
   const auto* code = err->find("code");
   return code != nullptr ? code->str : "";
 }
 
-std::string tier_of(const benchtools::JsonValue& v) {
+std::string tier_of(const util::JsonValue& v) {
   const auto* tier = v.find("tier");
   return tier != nullptr ? tier->str : "";
 }
@@ -510,6 +518,82 @@ TEST(Endpoints, ShutdownStopsTheStdinLoopMidStream) {
   const std::string text = out.str();
   EXPECT_NE(text.find("\"stopping\":true"), std::string::npos);
   EXPECT_EQ(text.find("\"id\":3"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// TCP transport.
+// ---------------------------------------------------------------------------
+
+/// Blocking loopback client with a receive timeout, so a dead server fails
+/// the test instead of hanging it. Returns -1 when the connect fails.
+int connect_client(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_text(int fd, const std::string& text) {
+  return ::send(fd, text.data(), text.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(text.size());
+}
+
+/// Reads one response line (without the newline); "" on timeout or close.
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    if (c == '\n') return line;
+    line += c;
+  }
+  return "";
+}
+
+TEST(Transport, ClientClosingBeforeReadingLeavesTheServerServing) {
+  ServiceConfig config;
+  config.cache_dir = scratch_dir("close_before_read");
+  Service svc{config};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&server] { server.serve(); });
+
+  // Pipeline four measured predicts (a simulation each) and close without
+  // reading. The connection handles them in order: once the second
+  // simulation starts, the first response went to the closed peer (which
+  // answers with a reset), and the second response's write will fail. That
+  // write used to raise SIGPIPE and kill the process.
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  const int quitter = connect_client(server.port());
+  EXPECT_GE(quitter, 0);
+  std::string burst;
+  for (int i = 0; i < 4; ++i) burst += measured_line(20000 + 1000 * i, 2) + "\n";
+  EXPECT_TRUE(send_text(quitter, burst));
+  ::close(quitter);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (sim::Engine::total_runs_started() - runs_before < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(sim::Engine::total_runs_started() - runs_before, 2u);
+
+  // A second client is still answered, and shutdown still ends serve().
+  const int client = connect_client(server.port());
+  EXPECT_GE(client, 0);
+  EXPECT_TRUE(send_text(client, R"({"id":1,"method":"stats"})" "\n"));
+  EXPECT_TRUE(response_ok(parse_response(read_line(client))));
+  EXPECT_TRUE(send_text(client, R"({"id":2,"method":"shutdown"})" "\n"));
+  EXPECT_NE(read_line(client).find("\"stopping\":true"), std::string::npos);
+  ::close(client);
+  if (!svc.shutdown_requested()) svc.handle_line(R"({"method":"shutdown"})");
+  serving.join();
 }
 
 // ---------------------------------------------------------------------------

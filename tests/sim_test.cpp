@@ -267,17 +267,35 @@ TEST(Engine, MessagesCarryPayloadIntact) {
 }
 
 TEST(Engine, FifoOrderPerSourceAndTag) {
+  // Ranks 0 and 1 each send 10 messages on each of tags 3 and 4, alternating
+  // tags, then a "done" on tag 9. Rank 2 takes both dones first: sends are
+  // delivered as they happen, so every data message is then pending. It then
+  // drains the channels in an order unrelated to arrival, which makes every
+  // receive skip other pending entries, and must still see each (src, tag)
+  // in FIFO order.
+  constexpr int kPerChannel = 10;
+  const auto value = [](int src, int tag, int i) { return src * 1000 + tag * 100 + i; };
   Engine eng(tiny_machine());
-  eng.run(2, [](RankCtx& ctx) {
-    if (ctx.rank() == 0) {
-      for (int i = 0; i < 10; ++i) {
-        ctx.send(1, 3, std::span<const int>(&i, 1));
+  eng.run(3, [&](RankCtx& ctx) {
+    if (ctx.rank() < 2) {
+      for (int i = 0; i < kPerChannel; ++i) {
+        for (int tag : {3, 4}) {
+          const int v = value(ctx.rank(), tag, i);
+          ctx.send(2, tag, std::span<const int>(&v, 1));
+        }
       }
-    } else {
-      for (int i = 0; i < 10; ++i) {
-        int v = -1;
-        ctx.recv(0, 3, std::span<int>(&v, 1));
-        EXPECT_EQ(v, i);
+      const int done = 0;
+      ctx.send(2, 9, std::span<const int>(&done, 1));
+      return;
+    }
+    int v = -1;
+    ctx.recv(1, 9, std::span<int>(&v, 1));
+    ctx.recv(0, 9, std::span<int>(&v, 1));
+    for (const auto& [src, tag] :
+         {std::pair{1, 4}, std::pair{0, 3}, std::pair{1, 3}, std::pair{0, 4}}) {
+      for (int i = 0; i < kPerChannel; ++i) {
+        ctx.recv(src, tag, std::span<int>(&v, 1));
+        EXPECT_EQ(v, value(src, tag, i)) << "src " << src << " tag " << tag;
       }
     }
   });
