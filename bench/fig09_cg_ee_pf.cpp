@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
                  "EE falls with p but rises with f (DVFS up helps CG)");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::B)));
+                              analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::B)),
+                              true, bench::exec_config());
   const double ns_calib[] = {4000, 8000, 16000};
   const int calib_ps[] = {2, 4, 8, 16};
   study.calibrate(ns_calib, calib_ps);
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   const double fs[] = {1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8};
   const auto surface = analysis::ee_surface_pf(study.machine_params(), study.workload(), n,
-                                               ps, fs);
+                                               ps, fs, bench::exec_config());
   bench::emit_surface(surface, "fig09_cg_ee_pf");
 
   // The DVFS-direction check the paper highlights: per p, does the highest

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   util::Cli cli("dvfs_explorer — energy/performance across DVFS gears");
   cli.flag("benchmark", "cg", "workload: ep | ft | cg")
       .flag("p", "32", "processor count")
-      .flag("machine", "systemg", "cluster preset: systemg | dori");
+      .flag("machine", "system_g", "cluster preset: system_g | dori");
   if (!cli.parse(argc, argv)) return 1;
 
-  auto machine = cli.get("machine") == "dori" ? sim::dori() : sim::system_g();
+  auto machine = sim::machine_preset(cli.get("machine"));
   machine.noise.enabled = true;
   const int p = static_cast<int>(cli.get_int("p"));
   const std::string bench = cli.get("benchmark");

@@ -110,24 +110,9 @@ sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig
       p, [&](sim::RankCtx& ctx) { (void)npb::sweep_rank(ctx, cfg, attach.phases); });
 }
 
-double ep_problem_size(const npb::EpConfig& config) {
-  return static_cast<double>(config.trials);
-}
 double ft_problem_size(const npb::FtConfig& config) {
   return static_cast<double>(config.total_points());
 }
 double cg_problem_size(const npb::CgConfig& config) { return static_cast<double>(config.n); }
-double is_problem_size(const npb::IsConfig& config) {
-  return static_cast<double>(config.n_keys);
-}
-double mg_problem_size(const npb::MgConfig& config) {
-  return static_cast<double>(config.total_points());
-}
-double ckpt_problem_size(const npb::CkptConfig& config) {
-  return static_cast<double>(config.elements);
-}
-double sweep_problem_size(const npb::SweepConfig& config) {
-  return static_cast<double>(config.total_cells());
-}
 
 }  // namespace isoee::analysis

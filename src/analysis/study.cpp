@@ -1,6 +1,7 @@
 #include "analysis/study.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "exec/cache.hpp"
@@ -26,17 +27,24 @@ std::string collectives_fp(const smpi::CollectiveConfig& c) {
          (c.tuning ? "tuned" : "fixed") + "," + exec::encode_f64(c.comm_gear_ghz);
 }
 
-}  // namespace
-
+/// Key of one simulated point: `kind` ("calibrate" or "measure") + machine
+/// and adapter fingerprints + (n, p, f).
 std::string study_key(const char* kind, const std::string& machine_fp,
                       const std::string& adapter_fp, double n, int p, double f_ghz) {
   return std::string(kind) + '\x1f' + machine_fp + '\x1f' + adapter_fp + '\x1f' +
          exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' + exec::encode_f64(f_ghz);
 }
 
+/// Key of the machine-parameter vector: microbenchmark-measured or nominal.
 std::string machine_params_key(const std::string& machine_fp, bool measured) {
   return std::string("machine-params\x1f") + machine_fp + '\x1f' +
          (measured ? "measured" : "nominal");
+}
+
+/// The payload of a finished case; a failed case's error becomes the throw.
+const std::string& payload_of(const exec::CaseResult& r) {
+  if (!r.ok()) throw std::runtime_error(r.error);
+  return r.payload;
 }
 
 std::string encode_machine_params(const model::MachineParams& m) {
@@ -91,8 +99,6 @@ CounterSample decode_sample(const std::string& text) {
   s.alpha = v[9];
   return s;
 }
-
-namespace {
 
 class EpAdapter final : public BenchmarkAdapter {
  public:
@@ -366,75 +372,120 @@ std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base) {
   return std::make_unique<SweepAdapter>(base);
 }
 
+Plan<model::MachineParams> machine_plan(const sim::MachineSpec& machine, bool measured) {
+  Plan<model::MachineParams> plan;
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, 2);  // mpptest ping-pong: 2 ranks
+  c.cache_key = machine_params_key(exec::machine_fingerprint(machine), measured);
+  c.run = [machine, measured] {
+    return encode_machine_params(measured ? tools::calibrate_machine(machine)
+                                          : tools::nominal_machine_params(machine));
+  };
+  plan.cases.push_back(std::move(c));
+  plan.fold = [](std::span<const exec::CaseResult> results) {
+    return decode_machine_params(payload_of(results.front()));
+  };
+  return plan;
+}
+
+Plan<Calibration> calibration_plan(const sim::MachineSpec& machine,
+                                   std::shared_ptr<const BenchmarkAdapter> adapter,
+                                   std::span<const double> ns, std::span<const int> ps,
+                                   const model::MachineParams* machine_params) {
+  Plan<Calibration> plan;
+  if (machine_params == nullptr) plan.cases = machine_plan(machine, true).cases;
+  const std::string machine_fp = exec::machine_fingerprint(machine);
+  const std::string adapter_fp = adapter->fingerprint();
+  const auto add_point = [&](double n, int p) {
+    exec::Case c;
+    // Cost = fiber-scheduler workers, not ranks: a p=1024 case occupies a
+    // worker or two of the host, so sweeps genuinely parallelize.
+    c.threads = sim::resolve_engine_workers(0, p);
+    c.cache_key = study_key("calibrate", machine_fp, adapter_fp, n, p, 0.0);
+    c.run = [machine, adapter, n, p] {
+      double snapped = n;
+      const sim::RunResult run = adapter->run(machine, n, p, RunOptions(), &snapped);
+      return encode_sample(make_sample(run, snapped, p));
+    };
+    plan.cases.push_back(std::move(c));
+  };
+  for (double n : ns) add_point(n, 1);
+  const double n_par = ns.empty() ? adapter->default_n() : ns.back();
+  for (int p : ps) {
+    if (p > 1) add_point(n_par, p);
+  }
+
+  std::optional<model::MachineParams> known;
+  if (machine_params != nullptr) known = *machine_params;
+  plan.fold = [adapter, known](std::span<const exec::CaseResult> results) {
+    for (const exec::CaseResult& r : results) {
+      if (!r.ok()) throw std::runtime_error("calibration case failed: " + r.error);
+    }
+    Calibration cal;
+    cal.machine = known ? *known : decode_machine_params(results.front().payload);
+    std::vector<CounterSample> samples;
+    for (const exec::CaseResult& r : results.subspan(known ? 0 : 1)) {
+      samples.push_back(decode_sample(r.payload));
+    }
+    cal.workload = adapter->fit(samples, cal.machine.t_m);
+    return cal;
+  };
+  return plan;
+}
+
+Plan<Measurement> measure_plan(const sim::MachineSpec& machine,
+                               std::shared_ptr<const BenchmarkAdapter> adapter, double n,
+                               int p, double f_ghz) {
+  Plan<Measurement> plan;
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, p);
+  c.cache_key = study_key("measure", exec::machine_fingerprint(machine), adapter->fingerprint(),
+                          n, p, f_ghz);
+  c.run = [machine, adapter, n, p, f_ghz] {
+    RunOptions options;
+    options.f_ghz = f_ghz;
+    double snapped = n;
+    const sim::RunResult run = adapter->run(machine, n, p, options, &snapped);
+    return exec::encode_doubles({snapped, run.total_energy_j(), run.makespan, run.mean_alpha()});
+  };
+  plan.cases.push_back(std::move(c));
+  plan.fold = [](std::span<const exec::CaseResult> results) {
+    const std::vector<double> v = exec::decode_doubles(payload_of(results.front()));
+    if (v.size() != 4) throw std::invalid_argument("measure entry: wrong arity");
+    return Measurement{v[0], v[1], v[2], v[3]};
+  };
+  return plan;
+}
+
+namespace {
+
+/// Runs a plan on the study's executor settings; run_batch owns the caching.
+template <class T>
+T run_plan(const Plan<T>& plan, const exec::ExecConfig& exec, exec::ResultCache* cache) {
+  exec::BatchOptions batch;
+  batch.thread_budget = exec.jobs;
+  batch.cache = cache->enabled() ? cache : nullptr;
+  return plan.fold(exec::run_batch(plan.cases, batch));
+}
+
+}  // namespace
+
 EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdapter> adapter,
                          bool measured_calibration, exec::ExecConfig exec)
     : machine_(std::move(machine)),
       adapter_(std::move(adapter)),
       exec_(std::move(exec)),
       cache_(std::make_unique<exec::ResultCache>(exec_.cache_dir, exec_.cache_max_bytes)),
-      machine_fp_(exec::machine_fingerprint(machine_)) {
-  // The microbenchmark pass itself runs simulations, so it is cached too —
-  // otherwise a "warm" figure rerun would still simulate its calibration.
-  const std::string key = machine_params_key(machine_fp_, measured_calibration);
-  if (cache_->enabled()) {
-    if (const auto hit = cache_->load(key)) {
-      machine_params_ = decode_machine_params(*hit);
-      return;
-    }
-  }
-  machine_params_ = measured_calibration ? tools::calibrate_machine(machine_)
-                                         : tools::nominal_machine_params(machine_);
-  if (cache_->enabled()) cache_->store(key, encode_machine_params(machine_params_));
-}
+      // The microbenchmark pass itself runs simulations, so it is cached too —
+      // otherwise a "warm" figure rerun would still simulate its calibration.
+      machine_params_(run_plan(machine_plan(machine_, measured_calibration), exec_,
+                               cache_.get())) {}
 
 void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps) {
-  // Calibration points: sequential sweep over problem sizes, then a parallel
-  // sweep at the largest size. Each point is an independent simulation, so
-  // they run as a batch on the executor pool (and individually cacheable).
-  struct Point {
-    double n;
-    int p;
-  };
-  std::vector<Point> points;
-  for (double n : ns) points.push_back({n, 1});
-  const double n_par = ns.empty() ? adapter_->default_n() : ns.back();
-  for (int p : ps) {
-    if (p <= 1) continue;
-    points.push_back({n_par, p});
-  }
-
-  std::vector<exec::Case> cases;
-  cases.reserve(points.size());
-  for (const Point& pt : points) {
-    exec::Case c;
-    // Cost = fiber-scheduler workers, not ranks: a p=1024 case occupies a
-    // worker or two of the host, so sweeps genuinely parallelize.
-    c.threads = sim::resolve_engine_workers(0, pt.p);
-    if (cache_->enabled()) {
-      c.cache_key = study_key("calibrate", machine_fp_, adapter_->fingerprint(), pt.n, pt.p, 0.0);
-    }
-    c.run = [this, pt]() -> std::string {
-      double snapped = pt.n;
-      const sim::RunResult run = adapter_->run(machine_, pt.n, pt.p, RunOptions(), &snapped);
-      return encode_sample(make_sample(run, snapped, pt.p));
-    };
-    cases.push_back(std::move(c));
-  }
-
-  exec::BatchOptions batch;
-  batch.thread_budget = exec_.jobs;
-  batch.cache = cache_->enabled() ? cache_.get() : nullptr;
-  const std::vector<exec::CaseResult> results = exec::run_batch(cases, batch);
-
-  std::vector<CounterSample> samples;
-  samples.reserve(results.size());
-  for (const exec::CaseResult& r : results) {
-    if (!r.error.empty()) throw std::runtime_error("calibration run failed: " + r.error);
-    samples.push_back(decode_sample(r.payload));
-  }
-  workload_ = adapter_->fit(samples, machine_params_.t_m);
+  const Plan<Calibration> plan = calibration_plan(machine_, adapter_, ns, ps, &machine_params_);
+  workload_ = run_plan(plan, exec_, cache_.get()).workload;
   ISOEE_INFO("%s: fitted workload model from %zu samples", adapter_->name().c_str(),
-             samples.size());
+             plan.cases.size());
 }
 
 model::EnergyPrediction EnergyStudy::predict(double n, int p, double f_ghz) const {
@@ -458,33 +509,11 @@ ValidationPoint EnergyStudy::validate(double n, int p, double f_ghz) const {
   point.p = p;
   point.f_ghz = f_ghz > 0.0 ? f_ghz : machine_params_.base_ghz;
 
-  const std::string key =
-      cache_->enabled()
-          ? study_key("validate", machine_fp_, adapter_->fingerprint(), n, p, point.f_ghz)
-          : std::string();
-  bool measured = false;
-  if (!key.empty()) {
-    if (const auto hit = cache_->load(key)) {
-      const std::vector<double> v = exec::decode_doubles(*hit);
-      if (v.size() != 3) throw std::invalid_argument("validate entry: wrong arity");
-      point.n = v[0];
-      point.actual_j = v[1];
-      point.actual_s = v[2];
-      measured = true;
-    }
-  }
-  if (!measured) {
-    RunOptions options;
-    options.f_ghz = point.f_ghz;
-    double snapped = n;
-    const sim::RunResult run = adapter_->run(machine_, n, p, options, &snapped);
-    point.n = snapped;
-    point.actual_j = run.total_energy_j();
-    point.actual_s = run.makespan;
-    if (!key.empty()) {
-      cache_->store(key, exec::encode_doubles({point.n, point.actual_j, point.actual_s}));
-    }
-  }
+  const Measurement actual =
+      run_plan(measure_plan(machine_, adapter_, n, p, point.f_ghz), exec_, cache_.get());
+  point.n = actual.n;
+  point.actual_j = actual.energy_j;
+  point.actual_s = actual.time_s;
 
   const model::EnergyPrediction energy = predict(point.n, p, point.f_ghz);
   const model::PerfPrediction perf = predict_performance(point.n, p, point.f_ghz);

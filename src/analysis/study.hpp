@@ -10,8 +10,14 @@
 //
 // The BenchmarkAdapter hides the per-kernel config plumbing so the same study
 // logic drives EP, FT, CG, and IS.
+//
+// Each step's simulations are a study plan (below): EnergyStudy runs the plans
+// on exec::run_batch, and the what-if query service (src/service) runs the same
+// plans on its SimScheduler, so both content-address every simulated quantity
+// under one set of cache keys.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -82,8 +88,9 @@ class EnergyStudy {
   /// `measured_calibration` selects between microbenchmark-measured machine
   /// parameters (the paper's protocol; inherits noise) and nominal spec
   /// values (ground truth, for exactness tests). `exec` carries the shared
-  /// --jobs / --cache-dir settings: calibration and validation runs execute
-  /// on the exec::run_batch pool, and with a cache directory every
+  /// --jobs / --cache-dir settings: the constructor's machine_plan, the
+  /// calibration_plan and every validate()'s measure_plan execute on the
+  /// exec::run_batch pool, and with a cache directory every
   /// simulation-derived quantity (machine microbenchmark parameters, counter
   /// samples, validation measurements) is content-addressed on disk — a warm
   /// rerun of a figure driver executes zero simulations and reproduces its
@@ -109,33 +116,64 @@ class EnergyStudy {
 
  private:
   sim::MachineSpec machine_;
-  std::unique_ptr<BenchmarkAdapter> adapter_;
+  std::shared_ptr<const BenchmarkAdapter> adapter_;
   exec::ExecConfig exec_;
   std::unique_ptr<exec::ResultCache> cache_;
-  std::string machine_fp_;
   model::MachineParams machine_params_;
   std::unique_ptr<model::WorkloadModel> workload_;
 };
 
-// --- result-cache format ------------------------------------------------------
+// --- the study plan -----------------------------------------------------------
 //
-// EnergyStudy and the query service (src/service) content-address the same
-// simulation-derived quantities, so a figure driver and the service pointed
-// at one cache directory share warm entries. These functions are the one
-// definition of those keys and payloads. Doubles travel as IEEE-754 hex, so a
-// warm-cache rerun is byte-identical.
+// The workflow's simulations as exec::Cases, shared by EnergyStudy and the
+// query service. Every case carries its content address (`cache_key`), so a
+// figure driver and the service pointed at one cache directory share warm
+// entries: a point validate() measured answers the service's measured
+// predict at the same (n, p, f), and a calibration either one ran is a warm
+// hit for the other. The key and payload formats are private to study.cpp
+// (doubles travel as IEEE-754 hex, so a warm rerun is byte-identical); read
+// results only through a plan's `fold`.
 
-/// Key of one simulated point: `kind` ("calibrate", "validate", the
-/// service's "measure") + machine and adapter fingerprints + (n, p, f).
-std::string study_key(const char* kind, const std::string& machine_fp,
-                      const std::string& adapter_fp, double n, int p, double f_ghz);
+/// Independent cases plus the fold that turns their results, in case order,
+/// into the step's value. `fold` throws std::runtime_error on a failed case.
+template <class T>
+struct Plan {
+  std::vector<exec::Case> cases;
+  std::function<T(std::span<const exec::CaseResult>)> fold;
+};
 
-/// Key of the machine-parameter vector: microbenchmark-measured or nominal.
-std::string machine_params_key(const std::string& machine_fp, bool measured);
+/// The machine-dependent vector: microbenchmark-measured (the paper's
+/// protocol; simulation-backed) or the spec's nominal values. One case.
+Plan<model::MachineParams> machine_plan(const sim::MachineSpec& machine, bool measured);
 
-std::string encode_machine_params(const model::MachineParams& m);
-model::MachineParams decode_machine_params(const std::string& text);
-std::string encode_sample(const CounterSample& s);
-CounterSample decode_sample(const std::string& text);
+/// A fitted (machine vector, workload model) pair.
+struct Calibration {
+  model::MachineParams machine;
+  std::unique_ptr<model::WorkloadModel> workload;
+};
+
+/// The workload fit: one counter-sample case per point of a sequential sweep
+/// over `ns` at p=1, then of every p>1 in `ps` at the largest size (ns.back(),
+/// or the adapter's default n when `ns` is empty). With `machine_params` null
+/// a leading case measures the machine vector (as machine_plan(machine,
+/// true)) and the fit uses its memory latency; otherwise the fit uses
+/// `*machine_params` and every case is a counter sample.
+Plan<Calibration> calibration_plan(const sim::MachineSpec& machine,
+                                   std::shared_ptr<const BenchmarkAdapter> adapter,
+                                   std::span<const double> ns, std::span<const int> ps,
+                                   const model::MachineParams* machine_params = nullptr);
+
+/// One simulated operating point.
+struct Measurement {
+  double n = 0.0;         // problem size actually run (adapters may snap n)
+  double energy_j = 0.0;  // total energy, noise included
+  double time_s = 0.0;    // makespan
+  double alpha = 0.0;     // mean measured overlap factor over ranks
+};
+
+/// One full simulation of the benchmark at (n, p) and gear `f_ghz`.
+Plan<Measurement> measure_plan(const sim::MachineSpec& machine,
+                               std::shared_ptr<const BenchmarkAdapter> adapter, double n,
+                               int p, double f_ghz);
 
 }  // namespace isoee::analysis

@@ -253,10 +253,10 @@ sim::MachineSpec machine_for_trace(const std::string& name, const LoadedTrace& t
     const auto it = trace.metadata.find("machine");
     resolved = it != trace.metadata.end() ? it->second : "system_g";
   }
-  if (resolved == "system_g" || resolved == "SystemG") return sim::system_g();
-  if (resolved == "dori" || resolved == "Dori") return sim::dori();
-  throw std::invalid_argument("unknown machine '" + resolved +
-                              "' (expected system_g, dori, or auto)");
+  // Trace metadata records the preset's display name (MachineSpec::name).
+  if (resolved == "SystemG") resolved = "system_g";
+  if (resolved == "Dori") resolved = "dori";
+  return sim::machine_preset(resolved);
 }
 
 // --- collapsed stacks (flamegraphs) ----------------------------------------

@@ -213,11 +213,6 @@ class EeTargetPolicy final : public Policy, CommGearMixin {
 
 }  // namespace
 
-double comm_gear_from(const sim::MachineSpec& machine,
-                      const smpi::CollectiveConfig& collectives) {
-  return effective_comm_gear(machine.cpu.gears_ghz, collectives.comm_gear_ghz);
-}
-
 PolicyFactory make_noop_policy() {
   return [] { return std::make_unique<NoopPolicy>(); };
 }

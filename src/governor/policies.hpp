@@ -21,8 +21,6 @@
 #include "governor/trace.hpp"
 #include "model/model.hpp"
 #include "model/workloads.hpp"
-#include "sim/machine.hpp"
-#include "smpi/comm.hpp"
 
 namespace isoee::governor {
 
@@ -62,14 +60,6 @@ class Policy {
 
 /// Creates one policy instance per rank; must be safe to call concurrently.
 using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
-
-/// Resolves the communication-phase gear a job should run at: an explicit
-/// comm gear in the smpi collective config wins; otherwise the machine's
-/// lowest DVFS gear (the same default the policies apply when their own
-/// comm_gear_ghz is 0). Keeps the smpi-level and governor-level comm-gear
-/// settings from silently disagreeing.
-double comm_gear_from(const sim::MachineSpec& machine,
-                      const smpi::CollectiveConfig& collectives);
 
 /// Open-loop baseline: always keeps the current gear.
 PolicyFactory make_noop_policy();

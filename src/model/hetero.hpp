@@ -43,10 +43,6 @@ struct HeteroPrediction {
   std::vector<double> shares;          // workload share per class (sums to 1)
 };
 
-/// Relative per-processor speed of a class for a given workload: the inverse
-/// of the time one processor of the class needs for a unit of the workload.
-double class_speed(const ProcessorClass& cls, const WorkloadModel& workload, double n);
-
 /// Speed-proportional workload shares (one entry per class), weighted by
 /// count * per-processor speed; balances class completion times.
 std::vector<double> balanced_shares(std::span<const ProcessorClass> classes,

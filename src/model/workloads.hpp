@@ -97,11 +97,6 @@ struct FtWorkload final : WorkloadModel {
     return a;
   }
   std::string name() const override { return "FT"; }
-
-  /// The paper's Hockney estimate of one transpose's per-rank time.
-  double transpose_time(double n, int p, double t_s, double t_w) const {
-    return hockney_alltoall_time(p, 16.0 * n / (static_cast<double>(p) * p), t_s, t_w);
-  }
 };
 
 /// CG: conjugate-gradient sweeps over a sparse SPD matrix with ~nzr nonzeros

@@ -93,12 +93,6 @@ DriftConfig DriftMonitor::config() const {
   return cfg_;
 }
 
-void DriftMonitor::set_config(const DriftConfig& cfg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cfg_ = cfg;
-  refresh_metrics();
-}
-
 void DriftMonitor::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();

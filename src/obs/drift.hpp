@@ -113,9 +113,6 @@ class DriftMonitor {
   std::vector<DriftKeyStats> degraded_keys() const;
 
   DriftConfig config() const;
-  /// Replaces the config; existing per-key EWMAs are kept and re-judged
-  /// against the new threshold on their next record().
-  void set_config(const DriftConfig& cfg);
 
   /// Drops all keys and zeroes the mirrored gauges. For tests.
   void reset();

@@ -12,7 +12,9 @@ namespace isoee::powerpack {
 
 namespace {
 
-/// Component power while a given activity is in effect.
+/// Component power drawn by one rank while the given segment's activity is in
+/// effect (paper Eq 9/12 applied to one timeline span). Shared by the offline
+/// Profiler and the online StreamingSampler so both report identical watts.
 PowerSample segment_power_impl(const sim::PowerSpec& pw, double base_ghz,
                                const sim::Segment& seg) {
   PowerSample s;
@@ -50,10 +52,6 @@ PowerSample idle_power(const sim::PowerSpec& pw) {
 }
 
 }  // namespace
-
-PowerSample segment_power(const sim::MachineSpec& spec, const sim::Segment& seg) {
-  return segment_power_impl(spec.power, spec.cpu.base_ghz, seg);
-}
 
 void StreamingSampler::feed(sim::RankCtx& ctx, const sim::Segment& seg) const {
   StreamSample s;

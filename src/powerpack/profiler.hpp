@@ -35,11 +35,6 @@ struct SampleOptions {
   std::uint64_t noise_seed = 0xB0B3ULL;
 };
 
-/// Component power drawn by one rank while the given segment's activity is in
-/// effect (paper Eq 9/12 applied to one timeline span). Shared by the offline
-/// Profiler and the online StreamingSampler so both report identical watts.
-PowerSample segment_power(const sim::MachineSpec& spec, const sim::Segment& seg);
-
 /// One sensed span delivered to streaming subscribers: the rank's component
 /// power over [t0, t0 + duration) of its virtual timeline.
 struct StreamSample {

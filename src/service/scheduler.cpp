@@ -1,5 +1,6 @@
 #include "service/scheduler.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -27,9 +28,8 @@ SimScheduler::SimScheduler(const SchedulerConfig& config)
 
 SimScheduler::~SimScheduler() { stop(); }
 
-SimScheduler::Ticket SimScheduler::submit(
-    const std::string& key, std::vector<exec::Case> cases,
-    std::function<std::string(const std::vector<exec::CaseResult>&)> fold) {
+SimScheduler::Ticket SimScheduler::submit(const std::string& key,
+                                         std::vector<exec::Case> cases) {
   Ticket ticket;
   std::lock_guard<std::mutex> lock(mu_);
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
@@ -46,7 +46,6 @@ SimScheduler::Ticket SimScheduler::submit(
   Job job;
   job.key = key;
   job.cases = std::move(cases);
-  job.fold = std::move(fold);
   job.promise = std::make_shared<std::promise<Outcome>>();
   ticket.result = job.promise->get_future().share();
   inflight_.emplace(key, ticket.result);
@@ -98,19 +97,14 @@ void SimScheduler::run_jobs(std::vector<Job> jobs) {
   exec::BatchOptions opts;
   opts.thread_budget = config_.jobs;
   opts.cache = cache_.enabled() ? &cache_ : nullptr;
-  const std::vector<exec::CaseResult> results = exec::run_batch(batch, opts);
+  std::vector<exec::CaseResult> results = exec::run_batch(batch, opts);
 
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::vector<exec::CaseResult> slice(results.begin() + offsets[j],
-                                              results.begin() + offsets[j + 1]);
     Outcome outcome;
-    for (const exec::CaseResult& r : slice) outcome.simulated |= !r.from_cache;
-    try {
-      outcome.payload = jobs[j].fold(slice);
-      jobs[j].promise->set_value(std::move(outcome));
-    } catch (...) {
-      jobs[j].promise->set_exception(std::current_exception());
-    }
+    outcome.results.assign(std::make_move_iterator(results.begin() + offsets[j]),
+                           std::make_move_iterator(results.begin() + offsets[j + 1]));
+    for (const exec::CaseResult& r : outcome.results) outcome.simulated |= !r.from_cache;
+    jobs[j].promise->set_value(std::move(outcome));
     SchedulerMetrics::get().jobs_run.inc();
     // Only now does an identical key stop coalescing onto this job — the
     // result is fulfilled, so latecomers either read the warm cache or rerun.

@@ -2,8 +2,9 @@
 // coalescing, and batched execution on the exec::run_batch pool.
 //
 // The service's slow tier funnels every simulation-backed job through one of
-// these. A job is a named bundle of exec::Cases plus a fold that reduces the
-// case payloads to one result fragment. The scheduler gives three guarantees:
+// these. A job is a named bundle of exec::Cases (an analysis::Plan's cases);
+// it yields their results, which the caller folds. The scheduler gives three
+// guarantees:
 //
 //  * Coalescing — two jobs with the same key submitted while the first is
 //    still in flight share a single execution (and a single set of
@@ -20,14 +21,13 @@
 //    machine with per-request pools.
 //
 // Results are deterministic by construction: cases obey the executor's purity
-// contract, so a job's folded payload is byte-identical no matter how jobs
-// were batched, coalesced, or interleaved.
+// contract, so a job's results are byte-identical no matter how jobs were
+// batched, coalesced, or interleaved.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -40,11 +40,11 @@
 
 namespace isoee::service {
 
-/// What a finished job yields: the folded payload plus whether any case
-/// actually simulated (false = every case was a warm cache hit, the "cache"
-/// tier; true = the "sim" tier).
+/// What a finished job yields: its case results, in case order, plus whether
+/// any case actually simulated (false = every case was a warm cache hit, the
+/// "cache" tier; true = the "sim" tier).
 struct Outcome {
-  std::string payload;
+  std::vector<exec::CaseResult> results;
   bool simulated = false;
 };
 
@@ -68,11 +68,8 @@ class SimScheduler {
 
   /// Submits a job. `key` must be a complete content-address of the job (two
   /// jobs with equal keys must compute the same thing — coalescing depends on
-  /// it). `fold` runs on the dispatcher thread once every case finished; a
-  /// throw from it (or a failed case surfaced by it) becomes the future's
-  /// exception.
-  Ticket submit(const std::string& key, std::vector<exec::Case> cases,
-                std::function<std::string(const std::vector<exec::CaseResult>&)> fold);
+  /// it). A failed case is reported in its result slot, not thrown.
+  Ticket submit(const std::string& key, std::vector<exec::Case> cases);
 
   exec::ResultCache& cache() { return cache_; }
 
@@ -84,7 +81,6 @@ class SimScheduler {
   struct Job {
     std::string key;
     std::vector<exec::Case> cases;
-    std::function<std::string(const std::vector<exec::CaseResult>&)> fold;
     std::shared_ptr<std::promise<Outcome>> promise;
   };
 

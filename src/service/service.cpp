@@ -8,9 +8,7 @@
 
 #include "analysis/policy.hpp"
 #include "analysis/study.hpp"
-#include "analysis/workload_fit.hpp"
 #include "benchtools/calibrate.hpp"
-#include "exec/codec.hpp"
 #include "model/isocontour.hpp"
 #include "model/model.hpp"
 #include "model/serialize.hpp"
@@ -48,10 +46,11 @@ struct ServiceMetrics {
 }
 
 sim::MachineSpec spec_for(const std::string& name) {
-  if (name == "system_g") return sim::system_g();
-  if (name == "dori") return sim::dori();
-  fail(ErrorCode::kUnknownMachine,
-       "unknown machine '" + name + "' (have: system_g, dori)");
+  try {
+    return sim::machine_preset(name);
+  } catch (const std::invalid_argument& e) {
+    fail(ErrorCode::kUnknownMachine, e.what());
+  }
 }
 
 bool known_app(const std::string& app) {
@@ -135,6 +134,27 @@ double host_now_s() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point start = clock::now();
   return std::chrono::duration<double>(clock::now() - start).count();
+}
+
+/// Runs a study plan as one scheduler job and folds its results. The job's
+/// coalescing key is its cases' content addresses: equal keys, equal work.
+template <class T>
+T run_job(SimScheduler& scheduler, analysis::Plan<T> plan, std::string* tier,
+          bool* coalesced) {
+  std::string key;
+  for (const exec::Case& c : plan.cases) key += c.cache_key + '\x1e';
+  SimScheduler::Ticket ticket = scheduler.submit(key, std::move(plan.cases));
+  if (ticket.rejected) {
+    fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
+  }
+  *coalesced = ticket.coalesced;
+  const Outcome& outcome = ticket.result.get();
+  *tier = outcome.simulated ? "sim" : "cache";
+  try {
+    return plan.fold(outcome.results);
+  } catch (const std::exception& e) {
+    fail(ErrorCode::kSimFailed, e.what());
+  }
 }
 
 }  // namespace
@@ -285,50 +305,15 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   }
 
   // Measured tier: one full simulation through the scheduler (coalesced,
-  // admission-controlled, warm-cache short-circuited inside run_batch).
+  // admission-controlled, warm-cache short-circuited inside run_batch) —
+  // the same case, and cache entry, as analysis::EnergyStudy::validate.
   const sim::MachineSpec spec = spec_for(req.machine);
   require_known_app(req.app);
   require_valid_sim_point(req.app, spec, req.p);
   const double f = req.f_ghz > 0.0 ? req.f_ghz : spec.cpu.base_ghz;
-  std::shared_ptr<analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
-  const std::string key = analysis::study_key("measure", exec::machine_fingerprint(spec),
-                                              adapter->fingerprint(), req.n, req.p, f);
-
-  exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, req.p);
-  c.cache_key = key;
-  const sim::MachineSpec machine = spec;
-  const double n = req.n;
-  const int p = req.p;
-  c.run = [adapter, machine, n, p, f]() -> std::string {
-    analysis::RunOptions options;
-    options.f_ghz = f;
-    double snapped = n;
-    const sim::RunResult run = adapter->run(machine, n, p, options, &snapped);
-    return exec::encode_doubles({snapped, run.total_energy_j(), run.makespan,
-                                 run.mean_alpha()});
-  };
-  std::vector<exec::Case> cases;
-  cases.push_back(std::move(c));
-
-  SimScheduler::Ticket ticket = scheduler_->submit(
-      key, std::move(cases), [](const std::vector<exec::CaseResult>& results) {
-        if (!results[0].ok()) throw std::runtime_error(results[0].error);
-        return results[0].payload;
-      });
-  if (ticket.rejected) {
-    fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
-  }
-  *coalesced = ticket.coalesced;
-  Outcome outcome;
-  try {
-    outcome = ticket.result.get();
-  } catch (const std::exception& e) {
-    fail(ErrorCode::kSimFailed, e.what());
-  }
-  *tier = outcome.simulated ? "sim" : "cache";
-  const std::vector<double> v = exec::decode_doubles(outcome.payload);
-  if (v.size() != 4) fail(ErrorCode::kInternal, "measure payload: wrong arity");
+  const analysis::Measurement actual = run_job(
+      *scheduler_, analysis::measure_plan(spec, adapter_for(req.app), req.n, req.p, f), tier,
+      coalesced);
 
   // A measured request is the one place a live service produces both a
   // closed-form prediction and a simulated actual for the same operating
@@ -338,27 +323,24 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   try {
     const Calibration cal = resolve_model(req);
     const model::IsoEnergyModel m(cal.machine.at_frequency(f));
-    const model::AppParams app = cal.workload->at(v[0], req.p);
+    const model::AppParams app = cal.workload->at(actual.n, req.p);
     const model::PerfPrediction perf = m.predict_performance(app);
     const model::EnergyPrediction energy = m.predict_energy(app);
-    obs::drift().record({req.machine, req.app, req.p, f, "energy_j"}, energy.Ep, v[1]);
-    obs::drift().record({req.machine, req.app, req.p, f, "time_s"}, perf.Tp, v[2]);
+    obs::drift().record({req.machine, req.app, req.p, f, "energy_j"}, energy.Ep,
+                        actual.energy_j);
+    obs::drift().record({req.machine, req.app, req.p, f, "time_s"}, perf.Tp, actual.time_s);
   } catch (const RequestError&) {
     // No stock or fitted model for this app: nothing to compare against.
   }
 
-  return "{" + json_field("n", v[0]) + "," + json_field("p", double(req.p)) + "," +
-         json_field("f_ghz", f) + "," + json_field("energy_j", v[1]) + "," +
-         json_field("time_s", v[2]) + "," + json_field("alpha", v[3]) + "}";
+  return "{" + json_field("n", actual.n) + "," + json_field("p", double(req.p)) + "," +
+         json_field("f_ghz", f) + "," + json_field("energy_j", actual.energy_j) + "," +
+         json_field("time_s", actual.time_s) + "," + json_field("alpha", actual.alpha) + "}";
 }
 
 std::string Service::handle_calibrate(const Request& req, std::string* tier, bool* coalesced) {
   const sim::MachineSpec spec = spec_for(req.machine);
-  std::shared_ptr<analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
-
-  // Calibration points, mirroring analysis::EnergyStudy::calibrate: a
-  // sequential sweep over the problem sizes, then a parallel sweep at the
-  // largest size.
+  std::shared_ptr<const analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
   std::vector<double> ns = req.ns;
   if (ns.empty()) {
     const double d = adapter->default_n();
@@ -368,102 +350,27 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
   if (ps.empty()) ps = {2, 4};
   for (int p : ps) require_valid_sim_point(req.app, spec, p);
 
-  struct Point {
-    double n;
-    int p;
-  };
-  std::vector<Point> points;
-  for (double n : ns) points.push_back({n, 1});
-  for (int p : ps) {
-    if (p > 1) points.push_back({ns.back(), p});
-  }
-
-  const std::string machine_fp = exec::machine_fingerprint(spec);
-  const std::string adapter_fp = adapter->fingerprint();
-
-  std::vector<exec::Case> cases;
-  // Case 0: the microbenchmark machine-vector pass (itself simulation-backed,
-  // and cached under the same key analysis::EnergyStudy uses).
-  {
-    exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, 2);  // mpptest ping-pong: 2 ranks
-    c.cache_key = analysis::machine_params_key(machine_fp, /*measured=*/true);
-    const sim::MachineSpec machine = spec;
-    c.run = [machine]() {
-      return analysis::encode_machine_params(tools::calibrate_machine(machine));
-    };
-    cases.push_back(std::move(c));
-  }
-  for (const Point& pt : points) {
-    exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, pt.p);
-    c.cache_key = analysis::study_key("calibrate", machine_fp, adapter_fp, pt.n, pt.p, 0.0);
-    const sim::MachineSpec machine = spec;
-    c.run = [adapter, machine, pt]() -> std::string {
-      double snapped = pt.n;
-      const sim::RunResult run =
-          adapter->run(machine, pt.n, pt.p, analysis::RunOptions(), &snapped);
-      return analysis::encode_sample(analysis::make_sample(run, snapped, pt.p));
-    };
-    cases.push_back(std::move(c));
-  }
-
-  std::string job_key = "calibrate-job\x1f" + machine_fp + '\x1f' + adapter_fp;
-  for (const Point& pt : points) {
-    job_key += '\x1f' + exec::encode_f64(pt.n) + ',' + std::to_string(pt.p);
-  }
-
-  SimScheduler::Ticket ticket = scheduler_->submit(
-      job_key, std::move(cases),
-      [adapter](const std::vector<exec::CaseResult>& results) -> std::string {
-        for (const exec::CaseResult& r : results) {
-          if (!r.ok()) throw std::runtime_error("calibration case failed: " + r.error);
-        }
-        const model::MachineParams mp = analysis::decode_machine_params(results[0].payload);
-        std::vector<analysis::CounterSample> samples;
-        samples.reserve(results.size() - 1);
-        for (std::size_t i = 1; i < results.size(); ++i) {
-          samples.push_back(analysis::decode_sample(results[i].payload));
-        }
-        const std::unique_ptr<model::WorkloadModel> workload =
-            adapter->fit(samples, mp.t_m);
-        // \x1e separates the two [section] documents (never appears in them).
-        return model::serialize(mp) + '\x1e' + model::serialize(*workload);
-      });
-  if (ticket.rejected) {
-    fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
-  }
-  *coalesced = ticket.coalesced;
-  Outcome outcome;
-  try {
-    outcome = ticket.result.get();
-  } catch (const std::exception& e) {
-    fail(ErrorCode::kSimFailed, e.what());
-  }
-  *tier = outcome.simulated ? "sim" : "cache";
-
-  const std::size_t sep = outcome.payload.find('\x1e');
-  if (sep == std::string::npos) fail(ErrorCode::kInternal, "calibration payload: no separator");
-  const std::string machine_text = outcome.payload.substr(0, sep);
-  const std::string workload_text = outcome.payload.substr(sep + 1);
-  const std::optional<model::MachineParams> mp = model::parse_machine(machine_text);
-  std::unique_ptr<model::WorkloadModel> workload = model::parse_workload(workload_text);
-  if (!mp || workload == nullptr) {
-    fail(ErrorCode::kInternal, "calibration payload: unparsable");
-  }
+  // The machine-vector case plus the counter-sample cases: the same cases,
+  // and cache entries, as analysis::EnergyStudy's constructor and calibrate.
+  analysis::Plan<analysis::Calibration> plan =
+      analysis::calibration_plan(spec, std::move(adapter), ns, ps);
+  const std::size_t samples = plan.cases.size() - 1;
+  analysis::Calibration fitted = run_job(*scheduler_, std::move(plan), tier, coalesced);
+  const std::string machine_text = model::serialize(fitted.machine);
+  const std::string workload_text = model::serialize(*fitted.workload);
 
   Calibration cal;
-  cal.machine = *mp;
-  cal.workload = std::shared_ptr<const model::WorkloadModel>(std::move(workload));
+  cal.machine = std::move(fitted.machine);
+  cal.workload = std::shared_ptr<const model::WorkloadModel>(std::move(fitted.workload));
   {
     std::lock_guard<std::mutex> lock(cal_mu_);
     calibrations_[req.machine + '\x1f' + req.app] = cal;
   }
   ISOEE_INFO("service: calibrated (%s, %s) from %zu points", req.machine.c_str(),
-             req.app.c_str(), points.size());
+             req.app.c_str(), samples);
 
   return std::string("{\"machine\":\"") + req.machine + "\",\"app\":\"" + req.app + "\"," +
-         json_field("samples", static_cast<std::uint64_t>(points.size())) +
+         json_field("samples", static_cast<std::uint64_t>(samples)) +
          ",\"machine_params\":\"" + obs::json_escape(machine_text) + "\",\"workload\":\"" +
          obs::json_escape(workload_text) + "\"}";
 }

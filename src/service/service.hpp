@@ -70,7 +70,6 @@ class Service {
     std::shared_ptr<const model::WorkloadModel> workload;
   };
 
-  std::string dispatch(const Request& req);
   std::string handle_predict(const Request& req, std::string* tier, bool* coalesced);
   std::string handle_calibrate(const Request& req, std::string* tier, bool* coalesced);
   std::string handle_optimize(const Request& req);

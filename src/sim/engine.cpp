@@ -226,8 +226,6 @@ void RankCtx::disk_write(std::uint64_t bytes) {
   advance(secs, Activity::kIo);
 }
 
-void RankCtx::disk_read(std::uint64_t bytes) { disk_write(bytes); }
-
 void RankCtx::idle(double seconds) {
   if (seconds <= 0.0) return;
   advance(seconds, Activity::kIdle);

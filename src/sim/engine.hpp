@@ -116,10 +116,9 @@ class RankCtx {
   /// Flat I/O access of the given duration (paper's simple T_io model).
   void io(double seconds);
 
-  /// Disk write/read of `bytes` through the machine's DiskSpec (latency +
+  /// Disk write of `bytes` through the machine's DiskSpec (latency +
   /// bandwidth), charged as Io activity with the io-noise jitter.
   void disk_write(std::uint64_t bytes);
-  void disk_read(std::uint64_t bytes);
 
   /// Advances the clock with no component active (explicit idle).
   void idle(double seconds);

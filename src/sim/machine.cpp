@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace isoee::sim {
 
@@ -93,6 +94,12 @@ MachineSpec system_g() {
 
   m.mem_overlap = 0.6;
   return m;
+}
+
+MachineSpec machine_preset(const std::string& name) {
+  if (name == "system_g") return system_g();
+  if (name == "dori") return dori();
+  throw std::invalid_argument("unknown machine '" + name + "' (have: system_g, dori)");
 }
 
 MachineSpec dori() {

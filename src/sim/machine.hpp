@@ -186,6 +186,10 @@ MachineSpec system_g();
 /// Preset modelled on the paper's Dori cluster (Ethernet, 2.0 GHz Opteron).
 MachineSpec dori();
 
+/// The preset named "system_g" or "dori" (the names the CLIs and the query
+/// service accept). Throws std::invalid_argument on any other name.
+MachineSpec machine_preset(const std::string& name);
+
 /// Returns `m` with the two-level network enabled: same-node messages use a
 /// shared-memory-class link (intra_t_s, intra_bw_Bps) instead of the NIC.
 /// Passing 0 for either parameter keeps the preset's defaults, which are

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -358,10 +359,6 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
     cases.push_back(std::move(c));
     return cases;
   };
-  const auto fold = [](const std::vector<exec::CaseResult>& results) {
-    if (!results[0].ok()) throw std::runtime_error(results[0].error);
-    return results[0].payload;
-  };
 
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
   std::vector<std::string> responses(kClients);
@@ -371,11 +368,13 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
         const service::SimScheduler::Ticket ticket =
-            scheduler.submit("measure-ep-24000-p2", make_cases(), fold);
+            scheduler.submit("measure-ep-24000-p2", make_cases());
         all_issued.count_down();
         ASSERT_FALSE(ticket.rejected);
         if (ticket.coalesced) coalesced.fetch_add(1);
-        responses[static_cast<std::size_t>(i)] = ticket.result.get().payload;
+        const service::Outcome& outcome = ticket.result.get();
+        ASSERT_TRUE(outcome.results[0].ok()) << outcome.results[0].error;
+        responses[static_cast<std::size_t>(i)] = outcome.results[0].payload;
       });
     }
     for (auto& t : clients) t.join();
@@ -466,6 +465,40 @@ TEST(SimTier, ServiceAnswersFromACacheWrittenByEnergyStudy) {
   ASSERT_TRUE(response_ok(v));
   EXPECT_EQ(tier_of(v), "cache");
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
+}
+
+TEST(SimTier, MeasuredPredictAnswersFromAPointEnergyStudyValidated) {
+  // EnergyStudy::validate and a measured predict run one measurement case
+  // under one cache key: a point a figure driver validated is a warm,
+  // zero-simulation answer for the service, bit for bit.
+  const std::string dir = scratch_dir("validate_to_service");
+  const double n = 24000;
+  const int p = 2;
+  analysis::ValidationPoint validated;
+  {
+    exec::ExecConfig exec;
+    exec.cache_dir = dir;
+    analysis::EnergyStudy study(sim::system_g(), analysis::make_ep_adapter(),
+                                /*measured_calibration=*/true, exec);
+    const std::vector<double> ns = {20000, 40000};
+    const std::vector<int> ps = {2};
+    study.calibrate(ns, ps);
+    validated = study.validate(n, p);
+  }
+  ServiceConfig config;
+  config.cache_dir = dir;
+  Service svc{config};
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  const auto v = parse_response(svc.handle_line(measured_line(n, p)));
+  ASSERT_TRUE(response_ok(v));
+  EXPECT_EQ(tier_of(v), "cache");
+  EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
+  const auto* result = v.find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result->find("energy_j")->number),
+            std::bit_cast<std::uint64_t>(validated.actual_j));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result->find("time_s")->number),
+            std::bit_cast<std::uint64_t>(validated.actual_s));
 }
 
 TEST(SimTier, SimulationPointValidationHappensBeforeAnySimulation) {
