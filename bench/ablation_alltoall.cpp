@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
         std::pair{"naive", smpi::AlltoallAlgo::kNaive}}) {
     auto config = npb::ft_class(npb::ProblemClass::A);
     config.collectives.alltoall = algo;
-    const auto run = analysis::run_ft(noisy, config, 32);
+    const auto run = analysis::run(noisy, config, 32);
     ft_table.add_row({name, util::num(run.makespan, 4), util::num(run.total_energy_j(), 1)});
   }
   bench::emit(ft_table, "ablation_alltoall_ft");

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   double base_time = 0.0, base_energy = 0.0;
   for (double gear : {0.0, 1.6, 1.2, 1.0}) {  // 0 = no controller
     config.collectives.comm_gear_ghz = gear;
-    const auto run = analysis::run_ft(machine, config, p);
+    const auto run = analysis::run(machine, config, p);
     if (gear == 0.0) {
       base_time = run.makespan;
       base_energy = run.total_energy_j();

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   const int p = 32;
   for (auto [name, machine] : {std::pair{"flat", bench::with_noise(flat)},
                                std::pair{"hier", bench::with_noise(hier)}}) {
-    const auto run = analysis::run_ft(machine, npb::ft_class(npb::ProblemClass::A), p);
+    const auto run = analysis::run(machine, npb::ft_class(npb::ProblemClass::A), p);
     kernels.add_row({"FT-A", name, util::num(run.makespan, 4),
                      util::num(run.total_energy_j(), 1),
                      util::num(static_cast<double>(run.counters.messages_intra_node) /
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   }
   for (auto [name, machine] : {std::pair{"flat", bench::with_noise(flat)},
                                std::pair{"hier", bench::with_noise(hier)}}) {
-    const auto run = analysis::run_cg(machine, npb::cg_class(npb::ProblemClass::A), p);
+    const auto run = analysis::run(machine, npb::cg_class(npb::ProblemClass::A), p);
     kernels.add_row({"CG-A", name, util::num(run.makespan, 4),
                      util::num(run.total_energy_j(), 1),
                      util::num(static_cast<double>(run.counters.messages_intra_node) /

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     cfg.elements = 1 << 21;
     cfg.iterations = 20;
     cfg.ckpt_every = every;
-    const auto run = analysis::run_ckpt(spec, cfg, 8);
+    const auto run = analysis::run(spec, cfg, 8);
     sweep.add_row({util::num(every), util::num(20 / every), util::num(run.makespan, 4),
                    util::num(run.total_energy_j(), 1), util::num(run.energy.io, 1)});
   }

@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
 
   efficiency_sweep(machine, "FT", npb::ft_class(npb::ProblemClass::A),
                    [](const sim::MachineSpec& m, const npb::FtConfig& c, int p) {
-                     return analysis::run_ft(m, c, p);
+                     return analysis::run(m, c, p);
                    });
   efficiency_sweep(machine, "CG", npb::cg_class(npb::ProblemClass::A),
                    [](const sim::MachineSpec& m, const npb::CgConfig& c, int p) {
-                     return analysis::run_cg(m, c, p);
+                     return analysis::run(m, c, p);
                    });
   return 0;
 }

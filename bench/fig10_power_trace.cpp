@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   options.trace = &trace;
   const auto config = npb::ft_class(npb::ProblemClass::A);
   const int p = 4;
-  const auto run = analysis::run_ft(machine, config, p, options);
+  const auto run = analysis::run(machine, config, p, options);
 
   // The run's full event stream (segments, collectives, phases, message
   // flows) as a Chrome trace on virtual time — open in Perfetto, or feed to

@@ -92,11 +92,12 @@ int main(int argc, char** argv) {
     const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
+    const double n = study->adapter().default_n();
     apps.push_back(App{"FT", std::move(study),
                        [machine, config, p](const analysis::RunOptions& o) {
-                         return analysis::run_ft(machine, config, p, o);
+                         return analysis::run(machine, config, p, o);
                        },
-                       analysis::ft_problem_size(config)});
+                       n});
   }
   {
     auto config = npb::cg_class(npb::ProblemClass::A);
@@ -105,11 +106,12 @@ int main(int argc, char** argv) {
     const double ns[] = {2000, 4000, 8000};
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
+    const double n = study->adapter().default_n();
     apps.push_back(App{"CG", std::move(study),
                        [machine, config, p](const analysis::RunOptions& o) {
-                         return analysis::run_cg(machine, config, p, o);
+                         return analysis::run(machine, config, p, o);
                        },
-                       analysis::cg_problem_size(config)});
+                       n});
   }
 
   util::Table table({"app", "cap_W", "mode", "gear", "viol_frac", "energy_J", "time_s",

@@ -21,11 +21,9 @@ void maintain(analysis::EnergyStudy& study, const std::string& name, double targ
                      "EE_measured(fixed n)"});
 
   // Measured E1 baselines (sequential runs at each contour size and at the
-  // fixed size).
-  double snapped_fixed = fixed_n;
-  const double e1_fixed =
-      study.adapter().run(study.machine(), fixed_n, 1, analysis::RunOptions(), &snapped_fixed)
-          .total_energy_j();
+  // fixed size). Every run goes through the study, so a warm --cache-dir
+  // rerun simulates nothing.
+  const double e1_fixed = study.validate(fixed_n, 1).actual_j;
 
   for (int p : ps) {
     const double n_iso = model::required_problem_size(
@@ -33,23 +31,17 @@ void maintain(analysis::EnergyStudy& study, const std::string& name, double targ
         target, n_lo, n_hi);
     std::string n_cell = "unreachable", model_cell = "-", iso_cell = "-";
     if (n_iso > 0) {
-      double snapped = n_iso;
-      const auto run_p =
-          study.adapter().run(study.machine(), n_iso, p, analysis::RunOptions(), &snapped);
-      const auto run_1 =
-          study.adapter().run(study.machine(), snapped, 1, analysis::RunOptions(), &snapped);
-      n_cell = util::sci(snapped, 2);
+      const analysis::ValidationPoint at_p = study.validate(n_iso, p);
+      const double e1 = study.validate(at_p.n, 1).actual_j;
+      n_cell = util::sci(at_p.n, 2);
       model_cell = util::num(
-          model::ee_at(study.machine_params(), study.workload(), snapped, p,
+          model::ee_at(study.machine_params(), study.workload(), at_p.n, p,
                        study.machine_params().base_ghz),
           4);
-      iso_cell = util::num(run_1.total_energy_j() / run_p.total_energy_j(), 4);
+      iso_cell = util::num(e1 / at_p.actual_j, 4);
     }
-    double snapped = fixed_n;
-    const auto run_fixed =
-        study.adapter().run(study.machine(), fixed_n, p, analysis::RunOptions(), &snapped);
     table.add_row({util::num(p), n_cell, model_cell, iso_cell,
-                   util::num(e1_fixed / run_fixed.total_energy_j(), 4)});
+                   util::num(e1_fixed / study.validate(fixed_n, p).actual_j, 4)});
   }
   bench::emit(table, "iso_maintenance_" + name);
 }

@@ -29,13 +29,13 @@ std::vector<int> parse_ints(const std::string& csv) {
 sim::RunResult run_benchmark(const std::string& name, const sim::MachineSpec& machine,
                              npb::ProblemClass cls, int p,
                              const analysis::RunOptions& options) {
-  if (name == "ep") return analysis::run_ep(machine, npb::ep_class(cls), p, options);
-  if (name == "ft") return analysis::run_ft(machine, npb::ft_class(cls), p, options);
-  if (name == "cg") return analysis::run_cg(machine, npb::cg_class(cls), p, options);
-  if (name == "is") return analysis::run_is(machine, npb::is_class(cls), p, options);
-  if (name == "mg") return analysis::run_mg(machine, npb::mg_class(cls), p, options);
-  if (name == "sweep") return analysis::run_sweep(machine, npb::sweep_class(cls), p, options);
-  if (name == "ckpt") return analysis::run_ckpt(machine, npb::CkptConfig(), p, options);
+  if (name == "ep") return analysis::run(machine, npb::ep_class(cls), p, options);
+  if (name == "ft") return analysis::run(machine, npb::ft_class(cls), p, options);
+  if (name == "cg") return analysis::run(machine, npb::cg_class(cls), p, options);
+  if (name == "is") return analysis::run(machine, npb::is_class(cls), p, options);
+  if (name == "mg") return analysis::run(machine, npb::mg_class(cls), p, options);
+  if (name == "sweep") return analysis::run(machine, npb::sweep_class(cls), p, options);
+  if (name == "ckpt") return analysis::run(machine, npb::CkptConfig(), p, options);
   throw std::invalid_argument("unknown benchmark: " + name);
 }
 

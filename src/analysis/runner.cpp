@@ -1,5 +1,7 @@
 #include "analysis/runner.hpp"
 
+#include <type_traits>
+
 namespace isoee::analysis {
 
 namespace {
@@ -11,14 +13,6 @@ sim::EngineOptions engine_options(const RunOptions& options) {
   opts.trace_sink = options.trace;
   if (options.governor != nullptr) opts.on_segment = options.governor->engine_hook();
   return opts;
-}
-
-/// Applies the RunOptions collective override (if any) onto a copy of the
-/// kernel config; every NPB config carries a `collectives` member.
-template <typename Config>
-Config with_collectives(Config config, const RunOptions& options) {
-  if (options.collectives != nullptr) config.collectives = *options.collectives;
-  return config;
 }
 
 /// Per-run governor attachment: resolves the PhaseLog the kernel should mark
@@ -45,74 +39,41 @@ struct GovernorAttachment {
   }
 };
 
+/// One rank's body: the kernel `Config` configures.
+template <class Config>
+void kernel_rank(sim::RankCtx& c, const Config& k, powerpack::PhaseLog* ph) {
+  if constexpr (std::is_same_v<Config, npb::EpConfig>) (void)npb::ep_rank(c, k, ph);
+  if constexpr (std::is_same_v<Config, npb::FtConfig>) (void)npb::ft_rank(c, k, ph);
+  if constexpr (std::is_same_v<Config, npb::CgConfig>) (void)npb::cg_rank(c, k, ph);
+  if constexpr (std::is_same_v<Config, npb::IsConfig>) (void)npb::is_rank(c, k, ph);
+  if constexpr (std::is_same_v<Config, npb::MgConfig>) (void)npb::mg_rank(c, k, ph);
+  if constexpr (std::is_same_v<Config, npb::CkptConfig>) (void)npb::ckpt_rank(c, k, ph);
+  if constexpr (std::is_same_v<Config, npb::SweepConfig>) (void)npb::sweep_rank(c, k, ph);
+}
+
 }  // namespace
 
-sim::RunResult run_ep(const sim::MachineSpec& machine, const npb::EpConfig& config, int p,
-                      const RunOptions& options) {
+template <class Config>
+sim::RunResult run(const sim::MachineSpec& machine, const Config& config, int p,
+                   const RunOptions& options) {
   GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
   sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::ep_rank(ctx, cfg, attach.phases); });
+  return engine.run(p, [&](sim::RankCtx& ctx) { kernel_rank(ctx, config, attach.phases); });
 }
 
-sim::RunResult run_ft(const sim::MachineSpec& machine, const npb::FtConfig& config, int p,
-                      const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::ft_rank(ctx, cfg, attach.phases); });
-}
-
-sim::RunResult run_cg(const sim::MachineSpec& machine, const npb::CgConfig& config, int p,
-                      const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::cg_rank(ctx, cfg, attach.phases); });
-}
-
-sim::RunResult run_is(const sim::MachineSpec& machine, const npb::IsConfig& config, int p,
-                      const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::is_rank(ctx, cfg, attach.phases); });
-}
-
-sim::RunResult run_mg(const sim::MachineSpec& machine, const npb::MgConfig& config, int p,
-                      const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::mg_rank(ctx, cfg, attach.phases); });
-}
-
-sim::RunResult run_ckpt(const sim::MachineSpec& machine, const npb::CkptConfig& config,
-                        int p, const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::ckpt_rank(ctx, cfg, attach.phases); });
-}
-
-sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig& config,
-                         int p, const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::sweep_rank(ctx, cfg, attach.phases); });
-}
-
-double ft_problem_size(const npb::FtConfig& config) {
-  return static_cast<double>(config.total_points());
-}
-double cg_problem_size(const npb::CgConfig& config) { return static_cast<double>(config.n); }
+template sim::RunResult run(const sim::MachineSpec&, const npb::EpConfig&, int,
+                            const RunOptions&);
+template sim::RunResult run(const sim::MachineSpec&, const npb::FtConfig&, int,
+                            const RunOptions&);
+template sim::RunResult run(const sim::MachineSpec&, const npb::CgConfig&, int,
+                            const RunOptions&);
+template sim::RunResult run(const sim::MachineSpec&, const npb::IsConfig&, int,
+                            const RunOptions&);
+template sim::RunResult run(const sim::MachineSpec&, const npb::MgConfig&, int,
+                            const RunOptions&);
+template sim::RunResult run(const sim::MachineSpec&, const npb::CkptConfig&, int,
+                            const RunOptions&);
+template sim::RunResult run(const sim::MachineSpec&, const npb::SweepConfig&, int,
+                            const RunOptions&);
 
 }  // namespace isoee::analysis

@@ -1,16 +1,14 @@
-// Convenience runners: execute one NPB kernel on the simulated cluster and
-// return the engine's RunResult (the "PowerPack measurement" of that job).
-// Used by the fitting, validation, and bench layers.
+// The kernel runner: executes one NPB kernel on the simulated cluster and
+// returns the engine's RunResult (the "PowerPack measurement" of that job).
+// Used by the study adapters (study.hpp) and by benches that run one config.
 #pragma once
-
-#include <string>
 
 #include "governor/governor.hpp"
 #include "npb/cg.hpp"
+#include "npb/ckpt.hpp"
 #include "npb/ep.hpp"
 #include "npb/ft.hpp"
 #include "npb/is.hpp"
-#include "npb/ckpt.hpp"
 #include "npb/mg.hpp"
 #include "npb/sweep.hpp"
 #include "sim/engine.hpp"
@@ -21,12 +19,6 @@ struct RunOptions {
   double f_ghz = 0.0;         // 0 -> machine base frequency
   bool record_trace = false;  // keep segment timelines (power profiles)
   powerpack::PhaseLog* phases = nullptr;
-
-  /// When set, overrides the kernel config's collective settings (algorithm
-  /// choice / tuning table / comm gear) without touching the kernel's own
-  /// workload parameters — the knob sweeps and ablation benches use this to
-  /// vary only the communication stack.
-  const smpi::CollectiveConfig* collectives = nullptr;
 
   /// Per-run trace sink (src/obs): forwarded to EngineOptions::trace_sink, so
   /// one run's spans/flows/instants land in a caller-owned collector even when
@@ -42,24 +34,12 @@ struct RunOptions {
   governor::Governor* governor = nullptr;
 };
 
-sim::RunResult run_ep(const sim::MachineSpec& machine, const npb::EpConfig& config, int p,
-                      const RunOptions& options = RunOptions());
-sim::RunResult run_ft(const sim::MachineSpec& machine, const npb::FtConfig& config, int p,
-                      const RunOptions& options = RunOptions());
-sim::RunResult run_cg(const sim::MachineSpec& machine, const npb::CgConfig& config, int p,
-                      const RunOptions& options = RunOptions());
-sim::RunResult run_is(const sim::MachineSpec& machine, const npb::IsConfig& config, int p,
-                      const RunOptions& options = RunOptions());
-sim::RunResult run_mg(const sim::MachineSpec& machine, const npb::MgConfig& config, int p,
-                      const RunOptions& options = RunOptions());
-sim::RunResult run_ckpt(const sim::MachineSpec& machine, const npb::CkptConfig& config,
-                        int p, const RunOptions& options = RunOptions());
-sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig& config,
-                         int p, const RunOptions& options = RunOptions());
-
-/// Problem-size measure used by the workload models: FT grid points, CG
-/// matrix order.
-double ft_problem_size(const npb::FtConfig& config);
-double cg_problem_size(const npb::CgConfig& config);
+/// Runs `config`'s kernel on p ranks of `machine`, with the collective
+/// settings in config.collectives. Instantiated (runner.cpp) for the seven
+/// kernel configs: npb::EpConfig, FtConfig, CgConfig, IsConfig, MgConfig,
+/// CkptConfig and SweepConfig.
+template <class Config>
+sim::RunResult run(const sim::MachineSpec& machine, const Config& config, int p,
+                   const RunOptions& options = RunOptions());
 
 }  // namespace isoee::analysis

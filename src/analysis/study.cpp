@@ -100,276 +100,191 @@ CounterSample decode_sample(const std::string& text) {
   return s;
 }
 
-class EpAdapter final : public BenchmarkAdapter {
- public:
-  explicit EpAdapter(npb::EpConfig base) : base_(base) {}
-  std::string name() const override { return "EP"; }
+// --- per-kernel pieces ----------------------------------------------------------
+//
+// What differs between kernels, as overloads on the config type: the name,
+// `config_fp` (the kernel's own fingerprint fields), `sized` (the base config
+// snapped to problem size ~n on p ranks), `problem_size` (the n a config
+// runs) and the workload fit.
 
+using Samples = std::span<const CounterSample>;
+using Fitted = std::unique_ptr<model::WorkloadModel>;
+
+const char* kernel_name(const npb::EpConfig&) { return "EP"; }
+std::string config_fp(const npb::EpConfig& c) {
+  return "trials=" + std::to_string(c.trials) + ";seed=" + exec::encode_f64(c.seed);
+}
+npb::EpConfig sized(npb::EpConfig c, double n, int) {
+  c.trials = static_cast<std::uint64_t>(n);
+  return c;
+}
+double problem_size(const npb::EpConfig& c) { return static_cast<double>(c.trials); }
+Fitted fit(const npb::EpConfig&, Samples samples, double t_m) {
+  return std::make_unique<model::EpWorkload>(fit_ep_workload(samples, t_m));
+}
+
+const char* kernel_name(const npb::FtConfig&) { return "FT"; }
+std::string config_fp(const npb::FtConfig& c) {
+  return "nx=" + std::to_string(c.nx) + ";ny=" + std::to_string(c.ny) +
+         ";nz=" + std::to_string(c.nz) + ";iters=" + std::to_string(c.iters) +
+         ";alpha=" + exec::encode_f64(c.evolve_alpha) + ";seed=" + exec::encode_f64(c.seed);
+}
+/// Snaps n to a power-of-two cubic grid with sides >= p (slab constraint).
+npb::FtConfig sized(npb::FtConfig c, double n, int p) {
+  int side = 4;
+  while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
+  // side^3 <= n < (2*side)^3: choose the closer one in log space.
+  if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
+  while (side < p) side *= 2;  // decomposition requires nx, nz >= p
+  c.nx = c.ny = c.nz = side;
+  return c;
+}
+double problem_size(const npb::FtConfig& c) { return static_cast<double>(c.total_points()); }
+Fitted fit(const npb::FtConfig& c, Samples samples, double t_m) {
+  return std::make_unique<model::FtWorkload>(fit_ft_workload(samples, c.iters, t_m));
+}
+
+const char* kernel_name(const npb::CgConfig&) { return "CG"; }
+std::string config_fp(const npb::CgConfig& c) {
+  return "n=" + std::to_string(c.n) + ";offsets=" + std::to_string(c.offsets) +
+         ";outer=" + std::to_string(c.outer) + ";inner=" + std::to_string(c.inner) +
+         ";shift=" + exec::encode_f64(c.shift) + ";seed=" + std::to_string(c.seed);
+}
+npb::CgConfig sized(npb::CgConfig c, double n, int p) {
+  c.n = std::max(static_cast<int>(n), 4 * p);
+  return c;
+}
+double problem_size(const npb::CgConfig& c) { return static_cast<double>(c.n); }
+Fitted fit(const npb::CgConfig& c, Samples samples, double t_m) {
+  return std::make_unique<model::CgWorkload>(
+      fit_cg_workload(samples, c.outer, c.inner, 2.0 * c.offsets + 1.0, t_m));
+}
+
+const char* kernel_name(const npb::IsConfig&) { return "IS"; }
+std::string config_fp(const npb::IsConfig& c) {
+  return "nkeys=" + std::to_string(c.n_keys) + ";bits=" + std::to_string(c.key_bits) +
+         ";seed=" + exec::encode_f64(c.seed);
+}
+npb::IsConfig sized(npb::IsConfig c, double n, int) {
+  c.n_keys = static_cast<std::uint64_t>(n);
+  return c;
+}
+double problem_size(const npb::IsConfig& c) { return static_cast<double>(c.n_keys); }
+Fitted fit(const npb::IsConfig&, Samples samples, double t_m) {
+  return std::make_unique<model::IsWorkload>(fit_is_workload(samples, t_m));
+}
+
+const char* kernel_name(const npb::MgConfig&) { return "MG"; }
+std::string config_fp(const npb::MgConfig& c) {
+  return "nx=" + std::to_string(c.nx) + ";ny=" + std::to_string(c.ny) +
+         ";nz=" + std::to_string(c.nz) + ";cycles=" + std::to_string(c.cycles) +
+         ";pre=" + std::to_string(c.pre_smooth) + ";post=" + std::to_string(c.post_smooth) +
+         ";maxlev=" + std::to_string(c.max_levels) + ";seed=" + exec::encode_f64(c.seed);
+}
+/// Snaps n to a cubic power-of-two grid with nz/p >= 2, and pins the level
+/// hierarchy so predictions stay comparable across p.
+npb::MgConfig sized(npb::MgConfig c, double n, int p) {
+  int side = 8;
+  while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
+  if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
+  while (side < 2 * p) side *= 2;  // slab constraint nz/p >= 2
+  c.nx = c.ny = c.nz = side;
+  if (c.max_levels == 0) c.max_levels = 3;
+  return c;
+}
+double problem_size(const npb::MgConfig& c) { return static_cast<double>(c.total_points()); }
+Fitted fit(const npb::MgConfig& c, Samples samples, double t_m) {
+  return std::make_unique<model::MgWorkload>(fit_mg_workload(samples, c.cycles, t_m));
+}
+
+const char* kernel_name(const npb::CkptConfig&) { return "CKPT"; }
+std::string config_fp(const npb::CkptConfig& c) {
+  return "elements=" + std::to_string(c.elements) +
+         ";iterations=" + std::to_string(c.iterations) +
+         ";every=" + std::to_string(c.ckpt_every) + ";seed=" + exec::encode_f64(c.seed);
+}
+npb::CkptConfig sized(npb::CkptConfig c, double n, int) {
+  c.elements = static_cast<std::uint64_t>(n);
+  return c;
+}
+double problem_size(const npb::CkptConfig& c) { return static_cast<double>(c.elements); }
+Fitted fit(const npb::CkptConfig& c, Samples samples, double t_m) {
+  return std::make_unique<model::CkptWorkload>(
+      fit_ckpt_workload(samples, c.iterations, c.ckpt_every, t_m));
+}
+
+const char* kernel_name(const npb::SweepConfig&) { return "SWEEP"; }
+std::string config_fp(const npb::SweepConfig& c) {
+  return "nx=" + std::to_string(c.nx) + ";ny=" + std::to_string(c.ny) +
+         ";sweeps=" + std::to_string(c.sweeps) + ";tile=" + std::to_string(c.tile_w) +
+         ";seed=" + exec::encode_f64(c.seed);
+}
+/// Square grid with side a multiple of tile_w and >= p rows.
+npb::SweepConfig sized(npb::SweepConfig c, double n, int p) {
+  int side = c.tile_w;
+  while (static_cast<double>(side + c.tile_w) * (side + c.tile_w) <= n) side += c.tile_w;
+  while (side < p) side += c.tile_w;
+  c.nx = c.ny = side;
+  return c;
+}
+double problem_size(const npb::SweepConfig& c) { return static_cast<double>(c.total_cells()); }
+Fitted fit(const npb::SweepConfig& c, Samples samples, double t_m) {
+  return std::make_unique<model::SweepWorkload>(
+      fit_sweep_workload(samples, c.sweeps, c.tile_w, t_m));
+}
+
+/// The adapter of every kernel, built from the overloads above.
+template <class Config>
+class KernelAdapter final : public BenchmarkAdapter {
+ public:
+  explicit KernelAdapter(Config base) : base_(std::move(base)) {}
+  std::string name() const override { return kernel_name(base_); }
   std::string fingerprint() const override {
-    return "EP;trials=" + std::to_string(base_.trials) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
+    return name() + ";" + config_fp(base_) + ";coll=" + collectives_fp(base_.collectives);
   }
 
   sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
                      const RunOptions& options, double* snapped_n) const override {
-    npb::EpConfig cfg = base_;
-    cfg.trials = static_cast<std::uint64_t>(n);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.trials);
-    return run_ep(machine, cfg, p, options);
+    const Config cfg = sized(base_, n, p);
+    if (snapped_n != nullptr) *snapped_n = problem_size(cfg);
+    return analysis::run(machine, cfg, p, options);
   }
 
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::EpWorkload>(fit_ep_workload(samples, t_m));
+  Fitted fit(Samples samples, double t_m) const override {
+    return analysis::fit(base_, samples, t_m);
   }
 
-  double default_n() const override { return static_cast<double>(base_.trials); }
+  double default_n() const override { return problem_size(base_); }
 
  private:
-  npb::EpConfig base_;
+  Config base_;
 };
 
-class FtAdapter final : public BenchmarkAdapter {
- public:
-  explicit FtAdapter(npb::FtConfig base) : base_(base) {}
-  std::string name() const override { return "FT"; }
-
-  std::string fingerprint() const override {
-    return "FT;nx=" + std::to_string(base_.nx) + ";ny=" + std::to_string(base_.ny) +
-           ";nz=" + std::to_string(base_.nz) + ";iters=" + std::to_string(base_.iters) +
-           ";alpha=" + exec::encode_f64(base_.evolve_alpha) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    const npb::FtConfig cfg = config_for(n, p);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.total_points());
-    return run_ft(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::FtWorkload>(fit_ft_workload(samples, base_.iters, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.total_points()); }
-
-  /// Snaps n to a power-of-two cubic grid with sides >= p (slab constraint).
-  npb::FtConfig config_for(double n, int p) const {
-    npb::FtConfig cfg = base_;
-    int side = 4;
-    while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
-    // side^3 <= n < (2*side)^3: choose the closer one in log space.
-    if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
-    while (side < p) side *= 2;  // decomposition requires nx, nz >= p
-    cfg.nx = cfg.ny = cfg.nz = side;
-    return cfg;
-  }
-
- private:
-  npb::FtConfig base_;
-};
-
-class CgAdapter final : public BenchmarkAdapter {
- public:
-  explicit CgAdapter(npb::CgConfig base) : base_(base) {}
-  std::string name() const override { return "CG"; }
-
-  std::string fingerprint() const override {
-    return "CG;n=" + std::to_string(base_.n) + ";offsets=" + std::to_string(base_.offsets) +
-           ";outer=" + std::to_string(base_.outer) + ";inner=" + std::to_string(base_.inner) +
-           ";shift=" + exec::encode_f64(base_.shift) + ";seed=" + std::to_string(base_.seed) +
-           ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::CgConfig cfg = base_;
-    cfg.n = std::max(static_cast<int>(n), 4 * p);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.n);
-    return run_cg(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::CgWorkload>(fit_cg_workload(
-        samples, base_.outer, base_.inner, 2.0 * base_.offsets + 1.0, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.n); }
-
- private:
-  npb::CgConfig base_;
-};
-
-class IsAdapter final : public BenchmarkAdapter {
- public:
-  explicit IsAdapter(npb::IsConfig base) : base_(base) {}
-  std::string name() const override { return "IS"; }
-
-  std::string fingerprint() const override {
-    return "IS;nkeys=" + std::to_string(base_.n_keys) +
-           ";bits=" + std::to_string(base_.key_bits) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::IsConfig cfg = base_;
-    cfg.n_keys = static_cast<std::uint64_t>(n);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.n_keys);
-    return run_is(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::IsWorkload>(fit_is_workload(samples, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.n_keys); }
-
- private:
-  npb::IsConfig base_;
-};
-
-class MgAdapter final : public BenchmarkAdapter {
- public:
-  explicit MgAdapter(npb::MgConfig base) : base_(base) {}
-  std::string name() const override { return "MG"; }
-
-  std::string fingerprint() const override {
-    return "MG;nx=" + std::to_string(base_.nx) + ";ny=" + std::to_string(base_.ny) +
-           ";nz=" + std::to_string(base_.nz) + ";cycles=" + std::to_string(base_.cycles) +
-           ";pre=" + std::to_string(base_.pre_smooth) +
-           ";post=" + std::to_string(base_.post_smooth) +
-           ";maxlev=" + std::to_string(base_.max_levels) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    const npb::MgConfig cfg = config_for(n, p);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.total_points());
-    return run_mg(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::MgWorkload>(fit_mg_workload(samples, base_.cycles, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.total_points()); }
-
-  /// Snaps n to a cubic power-of-two grid with nz/p >= 2, and pins the level
-  /// hierarchy so predictions stay comparable across p.
-  npb::MgConfig config_for(double n, int p) const {
-    npb::MgConfig cfg = base_;
-    int side = 8;
-    while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
-    if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
-    while (side < 2 * p) side *= 2;  // slab constraint nz/p >= 2
-    cfg.nx = cfg.ny = cfg.nz = side;
-    if (cfg.max_levels == 0) cfg.max_levels = 3;
-    return cfg;
-  }
-
- private:
-  npb::MgConfig base_;
-};
-
-class CkptAdapter final : public BenchmarkAdapter {
- public:
-  explicit CkptAdapter(npb::CkptConfig base) : base_(base) {}
-  std::string name() const override { return "CKPT"; }
-
-  std::string fingerprint() const override {
-    return "CKPT;elements=" + std::to_string(base_.elements) +
-           ";iterations=" + std::to_string(base_.iterations) +
-           ";every=" + std::to_string(base_.ckpt_every) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::CkptConfig cfg = base_;
-    cfg.elements = static_cast<std::uint64_t>(n);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.elements);
-    return run_ckpt(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::CkptWorkload>(
-        fit_ckpt_workload(samples, base_.iterations, base_.ckpt_every, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.elements); }
-
- private:
-  npb::CkptConfig base_;
-};
-
-class SweepAdapter final : public BenchmarkAdapter {
- public:
-  explicit SweepAdapter(npb::SweepConfig base) : base_(base) {}
-  std::string name() const override { return "SWEEP"; }
-
-  std::string fingerprint() const override {
-    return "SWEEP;nx=" + std::to_string(base_.nx) + ";ny=" + std::to_string(base_.ny) +
-           ";sweeps=" + std::to_string(base_.sweeps) +
-           ";tile=" + std::to_string(base_.tile_w) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    // Square grid with side a multiple of tile_w and >= p rows.
-    npb::SweepConfig cfg = base_;
-    int side = cfg.tile_w;
-    while (static_cast<double>(side + cfg.tile_w) * (side + cfg.tile_w) <= n) {
-      side += cfg.tile_w;
-    }
-    while (side < p) side += cfg.tile_w;
-    cfg.nx = cfg.ny = side;
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.total_cells());
-    return run_sweep(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::SweepWorkload>(
-        fit_sweep_workload(samples, base_.sweeps, base_.tile_w, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.total_cells()); }
-
- private:
-  npb::SweepConfig base_;
-};
+template <class Config>
+std::unique_ptr<BenchmarkAdapter> adapt(Config base) {
+  return std::make_unique<KernelAdapter<Config>>(std::move(base));
+}
 
 }  // namespace
 
-std::unique_ptr<BenchmarkAdapter> make_ep_adapter(npb::EpConfig base) {
-  return std::make_unique<EpAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_ft_adapter(npb::FtConfig base) {
-  return std::make_unique<FtAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_cg_adapter(npb::CgConfig base) {
-  return std::make_unique<CgAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_is_adapter(npb::IsConfig base) {
-  return std::make_unique<IsAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_mg_adapter(npb::MgConfig base) {
-  return std::make_unique<MgAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_ckpt_adapter(npb::CkptConfig base) {
-  return std::make_unique<CkptAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base) {
-  return std::make_unique<SweepAdapter>(base);
+std::unique_ptr<BenchmarkAdapter> make_ep_adapter(npb::EpConfig c) { return adapt(c); }
+std::unique_ptr<BenchmarkAdapter> make_ft_adapter(npb::FtConfig c) { return adapt(c); }
+std::unique_ptr<BenchmarkAdapter> make_cg_adapter(npb::CgConfig c) { return adapt(c); }
+std::unique_ptr<BenchmarkAdapter> make_is_adapter(npb::IsConfig c) { return adapt(c); }
+std::unique_ptr<BenchmarkAdapter> make_mg_adapter(npb::MgConfig c) { return adapt(c); }
+std::unique_ptr<BenchmarkAdapter> make_ckpt_adapter(npb::CkptConfig c) { return adapt(c); }
+std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig c) { return adapt(c); }
+
+std::unique_ptr<BenchmarkAdapter> make_adapter(const std::string& app) {
+  if (app == "EP") return make_ep_adapter();
+  if (app == "FT") return make_ft_adapter();
+  if (app == "CG") return make_cg_adapter();
+  if (app == "IS") return make_is_adapter();
+  if (app == "MG") return make_mg_adapter();
+  if (app == "CKPT") return make_ckpt_adapter();
+  if (app == "SWEEP") return make_sweep_adapter();
+  throw std::invalid_argument("unknown app '" + app +
+                              "' (have: EP, FT, CG, IS, MG, CKPT, SWEEP)");
 }
 
 Plan<model::MachineParams> machine_plan(const sim::MachineSpec& machine, bool measured) {

@@ -9,7 +9,10 @@
 //      validate against full "measured" simulations.
 //
 // The BenchmarkAdapter hides the per-kernel config plumbing so the same study
-// logic drives EP, FT, CG, and IS.
+// logic drives all seven kernels (EP, FT, CG, IS, MG, CKPT, SWEEP). One class
+// template in study.cpp implements it for every npb::*Config; each kernel
+// contributes only its name, fingerprint, size snapping, problem size and
+// workload fit.
 //
 // Each step's simulations are a study plan (below): EnergyStudy runs the plans
 // on exec::run_batch, and the what-if query service (src/service) runs the same
@@ -68,6 +71,10 @@ std::unique_ptr<BenchmarkAdapter> make_is_adapter(npb::IsConfig base = npb::IsCo
 std::unique_ptr<BenchmarkAdapter> make_mg_adapter(npb::MgConfig base = npb::MgConfig());
 std::unique_ptr<BenchmarkAdapter> make_ckpt_adapter(npb::CkptConfig base = npb::CkptConfig());
 std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base = npb::SweepConfig());
+
+/// The default-config adapter for an app name (EP, FT, CG, IS, MG, CKPT,
+/// SWEEP); throws std::invalid_argument naming the known apps otherwise.
+std::unique_ptr<BenchmarkAdapter> make_adapter(const std::string& app);
 
 /// One actual-vs-predicted energy comparison (a bar pair of Fig 3, a
 /// contribution to Fig 4's error rate).

@@ -106,6 +106,10 @@ void TcpServer::serve_connection(int fd) {
                         "\n");
       break;
     }
+    // No full line buffered: wait for bytes with a timeout, as the accept loop
+    // does, so an idle client cannot keep serve() from returning on shutdown.
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, /*timeout_ms=*/100) <= 0) continue;  // timeout or EINTR
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n <= 0) break;  // client closed (or error)
     buffer.append(chunk, static_cast<std::size_t>(n));

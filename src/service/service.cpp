@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -53,50 +54,25 @@ sim::MachineSpec spec_for(const std::string& name) {
   }
 }
 
-bool known_app(const std::string& app) {
-  return app == "EP" || app == "FT" || app == "CG" || app == "IS" || app == "MG" ||
-         app == "CKPT" || app == "SWEEP";
-}
-
-void require_known_app(const std::string& app) {
-  if (!known_app(app)) {
-    fail(ErrorCode::kUnknownApp,
-         "unknown app '" + app + "' (have: EP, FT, CG, IS, MG, CKPT, SWEEP)");
-  }
-}
-
 std::unique_ptr<analysis::BenchmarkAdapter> adapter_for(const std::string& app) {
-  require_known_app(app);
-  if (app == "EP") return analysis::make_ep_adapter();
-  if (app == "FT") return analysis::make_ft_adapter();
-  if (app == "CG") return analysis::make_cg_adapter();
-  if (app == "IS") return analysis::make_is_adapter();
-  if (app == "MG") return analysis::make_mg_adapter();
-  if (app == "CKPT") return analysis::make_ckpt_adapter();
-  return analysis::make_sweep_adapter();
+  try {
+    return analysis::make_adapter(app);
+  } catch (const std::invalid_argument& e) {
+    fail(ErrorCode::kUnknownApp, e.what());
+  }
 }
 
 /// Stock fitted models (the workloads.hpp defaults) for the apps whose
 /// coefficients ship pre-fitted. MG/CKPT/SWEEP default to all-zero fitted
 /// coefficients, so they have no stock model — calibrate first.
 std::shared_ptr<const model::WorkloadModel> stock_workload(const std::string& app) {
-  if (app == "EP") {
-    static const auto w = std::make_shared<const model::EpWorkload>();
-    return w;
-  }
-  if (app == "FT") {
-    static const auto w = std::make_shared<const model::FtWorkload>();
-    return w;
-  }
-  if (app == "CG") {
-    static const auto w = std::make_shared<const model::CgWorkload>();
-    return w;
-  }
-  if (app == "IS") {
-    static const auto w = std::make_shared<const model::IsWorkload>();
-    return w;
-  }
-  return nullptr;
+  static const std::map<std::string, std::shared_ptr<const model::WorkloadModel>> stock = {
+      {"EP", std::make_shared<const model::EpWorkload>()},
+      {"FT", std::make_shared<const model::FtWorkload>()},
+      {"CG", std::make_shared<const model::CgWorkload>()},
+      {"IS", std::make_shared<const model::IsWorkload>()}};
+  const auto it = stock.find(app);
+  return it == stock.end() ? nullptr : it->second;
 }
 
 bool is_pow2(int p) { return p >= 1 && (p & (p - 1)) == 0; }
@@ -266,7 +242,7 @@ std::string Service::handle_line(const std::string& line) {
 
 Service::Calibration Service::resolve_model(const Request& req) const {
   const sim::MachineSpec spec = spec_for(req.machine);
-  require_known_app(req.app);
+  (void)adapter_for(req.app);  // validates the app name
   if (req.calibrated) {
     std::lock_guard<std::mutex> lock(cal_mu_);
     const auto it = calibrations_.find(req.machine + '\x1f' + req.app);
@@ -308,11 +284,11 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   // admission-controlled, warm-cache short-circuited inside run_batch) —
   // the same case, and cache entry, as analysis::EnergyStudy::validate.
   const sim::MachineSpec spec = spec_for(req.machine);
-  require_known_app(req.app);
+  std::shared_ptr<const analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
   require_valid_sim_point(req.app, spec, req.p);
   const double f = req.f_ghz > 0.0 ? req.f_ghz : spec.cpu.base_ghz;
   const analysis::Measurement actual = run_job(
-      *scheduler_, analysis::measure_plan(spec, adapter_for(req.app), req.n, req.p, f), tier,
+      *scheduler_, analysis::measure_plan(spec, std::move(adapter), req.n, req.p, f), tier,
       coalesced);
 
   // A measured request is the one place a live service produces both a
@@ -440,7 +416,7 @@ std::string Service::handle_iso_contour(const Request& req) {
 
 std::string Service::handle_install(const Request& req) {
   spec_for(req.machine);  // validates the machine name
-  require_known_app(req.app);
+  (void)adapter_for(req.app);  // validates the app name
   const std::optional<model::MachineParams> mp = model::parse_machine(req.machine_params);
   if (!mp) fail(ErrorCode::kInvalidParams, "param 'machine_params' is not parsable");
   std::unique_ptr<model::WorkloadModel> workload = model::parse_workload(req.workload);

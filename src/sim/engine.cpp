@@ -351,6 +351,10 @@ struct EngineMetrics {
     return m;
   }
 };
+
+// Registered at load time rather than on the first run, so a process that
+// simulates nothing (a warm-cache rerun) still reports sim.runs_started = 0.
+[[maybe_unused]] const EngineMetrics& kRegisteredAtLoad = EngineMetrics::get();
 }  // namespace
 
 std::uint64_t Engine::total_runs_started() {

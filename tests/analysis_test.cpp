@@ -1,15 +1,17 @@
 // Tests for the analysis layer: least squares, workload-fit coefficient
 // recovery, the end-to-end EnergyStudy pipeline (model exactness without
-// noise; paper-band errors with noise), baselines, and surfaces.
+// noise; paper-band errors with noise), adapter identity, baselines, and surfaces.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "analysis/baselines.hpp"
 #include "analysis/leastsq.hpp"
 #include "analysis/study.hpp"
 #include "analysis/surface.hpp"
 #include "analysis/workload_fit.hpp"
+#include "npb/classes.hpp"
 
 namespace {
 
@@ -222,6 +224,82 @@ TEST(EnergyStudy, FtAdapterSnapsToValidGrid) {
   study.calibrate(ns, ps);
   const auto v = study.validate(40000.0, 4);  // snaps to 32^3 = 32768
   EXPECT_EQ(v.n, 32768.0);
+}
+
+// --- adapter identity --------------------------------------------------------------
+
+// name() and fingerprint() feed every result-cache key, so they are pinned to
+// the exact strings a populated cache directory was written under: any drift
+// silently turns warm caches cold (or, worse, aliases distinct configs).
+TEST(Adapters, NamesAndFingerprintsArePinned) {
+  using npb::ProblemClass;
+  npb::FtConfig ft_s = npb::ft_class(ProblemClass::S);
+  ft_s.collectives.alltoall = smpi::AlltoallAlgo::kBruck;
+  ft_s.collectives.comm_gear_ghz = 1.6;
+  npb::CkptConfig ckpt;
+  ckpt.elements = 1 << 18;
+  ckpt.ckpt_every = 2;
+  const std::string coll0 = ";coll=0,0,0,0,fixed,0000000000000000";
+  const struct {
+    std::unique_ptr<analysis::BenchmarkAdapter> adapter;
+    std::string name;
+    std::string fingerprint;
+    double default_n;
+  } cases[] = {
+      {analysis::make_ep_adapter(), "EP",
+       "EP;trials=1048576;seed=41b033c4d7000000" + coll0, 1048576},
+      {analysis::make_ep_adapter(npb::ep_class(ProblemClass::S)), "EP",
+       "EP;trials=262144;seed=41b033c4d7000000" + coll0, 262144},
+      {analysis::make_ft_adapter(), "FT",
+       "FT;nx=64;ny=64;nz=64;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000" + coll0,
+       262144},
+      {analysis::make_ft_adapter(ft_s), "FT",
+       "FT;nx=32;ny=32;nz=32;iters=4;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=3,0,0,0,fixed,3ff999999999999a",
+       32768},
+      {analysis::make_cg_adapter(), "CG",
+       "CG;n=14000;offsets=6;outer=15;inner=25;shift=4034000000000000;seed=50886" + coll0,
+       14000},
+      {analysis::make_cg_adapter(npb::cg_class(ProblemClass::S)), "CG",
+       "CG;n=1400;offsets=6;outer=8;inner=25;shift=4034000000000000;seed=50886" + coll0, 1400},
+      {analysis::make_is_adapter(), "IS",
+       "IS;nkeys=1048576;bits=16;seed=41b2b9b0a1000000" + coll0, 1048576},
+      {analysis::make_is_adapter(npb::is_class(ProblemClass::S)), "IS",
+       "IS;nkeys=262144;bits=14;seed=41b2b9b0a1000000" + coll0, 262144},
+      {analysis::make_mg_adapter(), "MG",
+       "MG;nx=64;ny=64;nz=64;cycles=4;pre=2;post=2;maxlev=0;seed=41b2b9b0a1000000" + coll0,
+       262144},
+      {analysis::make_mg_adapter(npb::mg_class(ProblemClass::S)), "MG",
+       "MG;nx=32;ny=32;nz=32;cycles=4;pre=2;post=2;maxlev=0;seed=41b2b9b0a1000000" + coll0,
+       32768},
+      {analysis::make_ckpt_adapter(), "CKPT",
+       "CKPT;elements=1048576;iterations=20;every=5;seed=41b2b9b0a1000000" + coll0, 1048576},
+      {analysis::make_ckpt_adapter(ckpt), "CKPT",
+       "CKPT;elements=262144;iterations=20;every=2;seed=41b2b9b0a1000000" + coll0, 262144},
+      {analysis::make_sweep_adapter(), "SWEEP",
+       "SWEEP;nx=512;ny=512;sweeps=4;tile=64;seed=41b2b9b0a1000000" + coll0, 262144},
+      {analysis::make_sweep_adapter(npb::sweep_class(ProblemClass::S)), "SWEEP",
+       "SWEEP;nx=256;ny=256;sweeps=4;tile=64;seed=41b2b9b0a1000000" + coll0, 65536},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.adapter->name(), c.name);
+    EXPECT_EQ(c.adapter->fingerprint(), c.fingerprint) << c.name;
+    EXPECT_EQ(c.adapter->default_n(), c.default_n) << c.name;
+  }
+}
+
+TEST(Adapters, MakeAdapterResolvesEveryAppByName) {
+  for (const char* app : {"EP", "FT", "CG", "IS", "MG", "CKPT", "SWEEP"}) {
+    EXPECT_EQ(analysis::make_adapter(app)->name(), app);
+  }
+  EXPECT_EQ(analysis::make_adapter("FT")->fingerprint(),
+            analysis::make_ft_adapter()->fingerprint());
+  try {
+    (void)analysis::make_adapter("ft");
+    FAIL() << "lower-case name accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown app 'ft' (have: EP, FT, CG, IS, MG, CKPT, SWEEP)");
+  }
 }
 
 // --- baselines ---------------------------------------------------------------------

@@ -68,7 +68,7 @@ TracedFt traced_ft(const sim::MachineSpec& machine, int p,
   options.f_ghz = f_ghz;
   const auto config = npb::ft_class(npb::ProblemClass::S);
   TracedFt out;
-  out.result = analysis::run_ft(machine, config, p, options);
+  out.result = analysis::run(machine, config, p, options);
   out.json = obs::ChromeTraceWriter::render(collector.sorted(),
                                             {{"machine", machine.name}});
   return out;
@@ -597,7 +597,7 @@ TEST(TraceRoundTrip, SegmentsSurviveExportAndReload) {
   options.phases = &phases;
   options.trace = &collector;
   const auto run =
-      analysis::run_ft(machine, npb::ft_class(npb::ProblemClass::S), 4, options);
+      analysis::run(machine, npb::ft_class(npb::ProblemClass::S), 4, options);
 
   const std::string json = obs::ChromeTraceWriter::render(collector.sorted());
   const auto trace = benchtools::parse_trace(json);
@@ -664,7 +664,7 @@ TEST(TraceStats, PhaseEnergyMatchesPhaseLogSummaries) {
   options.phases = &phases;
   options.trace = &collector;
   const auto run =
-      analysis::run_ft(machine, npb::ft_class(npb::ProblemClass::S), 4, options);
+      analysis::run(machine, npb::ft_class(npb::ProblemClass::S), 4, options);
 
   const powerpack::Profiler profiler(machine);
   const auto reference = powerpack::summarize_phases(phases, profiler, run.traces);
@@ -755,7 +755,7 @@ TEST(SegmentsCsv, ByteIdenticalAcrossReruns) {
     analysis::RunOptions options;
     options.record_trace = true;
     const auto run =
-        analysis::run_ft(machine, npb::ft_class(npb::ProblemClass::S), 4, options);
+        analysis::run(machine, npb::ft_class(npb::ProblemClass::S), 4, options);
     ASSERT_TRUE(powerpack::write_segments_csv(run.traces, path));
   };
   const std::string path_a = temp_path("obs_segments_a.csv");

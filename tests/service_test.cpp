@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <latch>
 #include <sstream>
 #include <string>
@@ -627,6 +628,38 @@ TEST(Transport, ClientClosingBeforeReadingLeavesTheServerServing) {
   ::close(client);
   if (!svc.shutdown_requested()) svc.handle_line(R"({"method":"shutdown"})");
   serving.join();
+}
+
+TEST(Transport, ShutdownReturnsWhileAnIdleClientIsConnected) {
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::promise<void> served;
+  std::future<void> serve_done = served.get_future();
+  std::thread serving([&server, &served] {
+    server.serve();
+    served.set_value();
+  });
+
+  // One answered request proves the idle client's connection is being
+  // served; after it the client sends nothing and keeps the socket open.
+  const int idle = connect_client(server.port());
+  ASSERT_GE(idle, 0);
+  EXPECT_TRUE(send_text(idle, R"({"id":1,"method":"stats"})" "\n"));
+  EXPECT_TRUE(response_ok(parse_response(read_line(idle))));
+
+  const int stopper = connect_client(server.port());
+  EXPECT_GE(stopper, 0);
+  EXPECT_TRUE(send_text(stopper, R"({"id":2,"method":"shutdown"})" "\n"));
+  EXPECT_NE(read_line(stopper).find("\"stopping\":true"), std::string::npos);
+  ::close(stopper);
+
+  // serve() must return while `idle` is still open. If it does not, closing
+  // the idle socket releases the server so the test fails instead of hanging.
+  const bool returned =
+      serve_done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(idle);
+  serving.join();
+  if (!returned) FAIL() << "serve() did not return within 10 s of shutdown";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
-# Warm-cache determinism of a figure driver: fig03 run cold into an empty
-# result cache, then rerun warm from it, must write byte-identical CSVs, and
-# the warm run must start zero simulations.
+# Warm-cache determinism of a figure driver: the driver run cold into an
+# empty result cache, then rerun warm from it, must write byte-identical CSVs,
+# and the warm run must start zero simulations.
 #
-#   cmake -DBENCH=<path to fig03_validation_dori> -DWORK=<scratch dir> \
-#         -P warm_cache_fig03.cmake
+#   cmake -DBENCH=<path to a bench driver> -DWORK=<scratch dir> -P warm_cache.cmake
 foreach(var BENCH WORK)
   if(NOT DEFINED ${var})
-    message(FATAL_ERROR "warm_cache_fig03.cmake: -D${var}=... is required")
+    message(FATAL_ERROR "warm_cache.cmake: -D${var}=... is required")
   endif()
 endforeach()
 
+get_filename_component(driver "${BENCH}" NAME)
 file(REMOVE_RECURSE "${WORK}")
 
-function(run_fig03 label)
+function(run_driver label)
   execute_process(
     COMMAND "${BENCH}" --seed 42 --cache-dir "${WORK}/cache" --csv-dir "${WORK}/${label}"
             --metrics-out "${WORK}/${label}_metrics.csv"
@@ -24,21 +24,19 @@ function(run_fig03 label)
 endfunction()
 
 # sim.runs_started from a --metrics-out CSV ("name,kind,value" rows). The
-# engine registers the counter on its first run, so a process that simulated
-# nothing has no row: that reads as 0 (the cold run proves the name exists).
+# engine registers the counter at load time, so every run reports it, even
+# one that simulated nothing; a missing row is a failure.
 function(runs_started label out)
   file(STRINGS "${WORK}/${label}_metrics.csv" row REGEX "^sim\\.runs_started,")
-  if(row STREQUAL "")
-    set(${out} 0 PARENT_SCOPE)
-  elseif(row MATCHES "^sim\\.runs_started,counter,([0-9]+)$")
+  if(row MATCHES "^sim\\.runs_started,counter,([0-9]+)$")
     set(${out} "${CMAKE_MATCH_1}" PARENT_SCOPE)
   else()
-    message(FATAL_ERROR "${label} metrics: unreadable sim.runs_started row '${row}'")
+    message(FATAL_ERROR "${label} metrics: missing or unreadable sim.runs_started row '${row}'")
   endif()
 endfunction()
 
-run_fig03(cold)
-run_fig03(warm)
+run_driver(cold)
+run_driver(warm)
 
 runs_started(cold cold_runs)
 runs_started(warm warm_runs)
@@ -46,8 +44,8 @@ if(cold_runs EQUAL 0)
   message(FATAL_ERROR "cold run started no simulation; the check would prove nothing")
 endif()
 if(NOT warm_runs EQUAL 0)
-  message(FATAL_ERROR "warm rerun started ${warm_runs} simulations (cold: ${cold_runs}); "
-                      "expected every case to be a cache hit")
+  message(FATAL_ERROR "warm rerun of ${driver} started ${warm_runs} simulations "
+                      "(cold: ${cold_runs}); expected every case to be a cache hit")
 endif()
 
 file(GLOB csvs RELATIVE "${WORK}/cold" "${WORK}/cold/*.csv")
@@ -59,7 +57,7 @@ foreach(csv IN LISTS csvs)
     COMMAND "${CMAKE_COMMAND}" -E compare_files "${WORK}/cold/${csv}" "${WORK}/warm/${csv}"
     RESULT_VARIABLE differ)
   if(NOT differ EQUAL 0)
-    message(FATAL_ERROR "warm rerun changed ${csv}")
+    message(FATAL_ERROR "warm rerun of ${driver} changed ${csv}")
   endif()
 endforeach()
-message(STATUS "fig03: ${cold_runs} cold simulations, 0 warm; ${csvs} byte-identical")
+message(STATUS "${driver}: ${cold_runs} cold simulations, 0 warm; ${csvs} byte-identical")
