@@ -1,5 +1,6 @@
 #include "npb/ft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <optional>
@@ -115,94 +116,80 @@ void fft_z(FtState& st, std::vector<Complex>& b, bool inverse) {
   st.charge_fft_stage(nz);
 }
 
-/// Transpose z-slabs -> x-slabs via all-to-all. a is (zl,y,x); returns (xl,y,z).
-std::vector<Complex> transpose_fwd(FtState& st, const std::vector<Complex>& a) {
-  const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
-  const std::size_t block =
-      static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(ny) *
-      static_cast<std::size_t>(st.nxl);
-  std::vector<Complex> sendbuf(block * static_cast<std::size_t>(st.p));
-  // Pack: destination d receives our z-planes restricted to its x-range,
-  // ordered (zl, y, xd).
-  std::size_t w = 0;
-  for (int d = 0; d < st.p; ++d) {
-    for (int zl = 0; zl < st.nzl; ++zl) {
-      for (int y = 0; y < ny; ++y) {
-        const std::size_t base = (static_cast<std::size_t>(zl) * ny + y) * nx;
-        for (int xd = d * st.nxl; xd < (d + 1) * st.nxl; ++xd) {
-          sendbuf[w++] = a[base + static_cast<std::size_t>(xd)];
-        }
+// Both transposes route the grid through the all-to-all's wire order
+// (s, zl, y, xl): the block for rank s holds its x-range of our z-planes, or
+// our x-range of its z-planes. Read as one array that order is (z, y, xl)
+// with z = s*nzl + zl, so each transpose is one contiguous-run shuffle
+// between a z-slab and wire order, and one swap of the outer and inner axes
+// between wire order and an x-slab (xl, y, z).
+
+/// Wire order <-> z-slab (zl, y, x): each (zl, y) row splits into p runs of
+/// nxl points, run s going to (or coming from) rank s's block.
+void shuffle_runs(const FtState& st, const Complex* from, Complex* to, bool to_wire) {
+  const auto nx = static_cast<std::size_t>(st.cfg->nx);
+  const auto nxl = static_cast<std::size_t>(st.nxl);
+  const std::size_t rows =
+      static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(st.cfg->ny);
+  for (std::size_t s = 0; s < static_cast<std::size_t>(st.p); ++s) {
+    for (std::size_t row = 0; row < rows; ++row) {
+      const std::size_t slab = row * nx + s * nxl;
+      const std::size_t wire = (s * rows + row) * nxl;
+      if (to_wire) {
+        std::copy_n(from + slab, nxl, to + wire);
+      } else {
+        std::copy_n(from + wire, nxl, to + slab);
       }
     }
   }
-  st.charge_pack();
-
-  std::vector<Complex> recvbuf(sendbuf.size());
-  {
-    powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
-    st.comm.alltoall(std::span<const Complex>(sendbuf), std::span<Complex>(recvbuf), block);
-  }
-
-  // Unpack into (xl, y, z): source s contributed z in its slab.
-  std::vector<Complex> b(block * static_cast<std::size_t>(st.p));
-  for (int s = 0; s < st.p; ++s) {
-    std::size_t rd = block * static_cast<std::size_t>(s);
-    for (int zl = 0; zl < st.nzl; ++zl) {
-      const int z = s * st.nzl + zl;
-      for (int y = 0; y < ny; ++y) {
-        for (int xl = 0; xl < st.nxl; ++xl) {
-          b[(static_cast<std::size_t>(xl) * ny + y) * nz + static_cast<std::size_t>(z)] =
-              recvbuf[rd++];
-        }
-      }
-    }
-  }
-  st.charge_pack();
-  return b;
 }
 
-/// Transpose x-slabs -> z-slabs (inverse of transpose_fwd). b is (xl,y,z).
-std::vector<Complex> transpose_bwd(FtState& st, const std::vector<Complex>& b) {
-  const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
-  const std::size_t block =
-      static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(ny) *
-      static_cast<std::size_t>(st.nxl);
-  std::vector<Complex> sendbuf(block * static_cast<std::size_t>(st.p));
-  // Destination d owns z-planes [d*nzl, (d+1)*nzl); pack (zd, y, xl) for it.
-  std::size_t w = 0;
-  for (int d = 0; d < st.p; ++d) {
-    for (int zd = d * st.nzl; zd < (d + 1) * st.nzl; ++zd) {
-      for (int y = 0; y < ny; ++y) {
-        for (int xl = 0; xl < st.nxl; ++xl) {
-          sendbuf[w++] =
-              b[(static_cast<std::size_t>(xl) * ny + y) * nz + static_cast<std::size_t>(zd)];
+/// to[(b*ny + y)*na + a] = from[(a*ny + y)*nb + b]: swaps the outer and inner
+/// axes of an (a, y, b) grid. Square tiles keep both the strided reads and
+/// the strided writes of one tile within a few cache lines per row.
+void swap_outer_inner(const Complex* from, Complex* to, int a_len, int y_len, int b_len) {
+  constexpr std::size_t kTile = 16;
+  const auto na = static_cast<std::size_t>(a_len);
+  const auto ny = static_cast<std::size_t>(y_len);
+  const auto nb = static_cast<std::size_t>(b_len);
+  for (std::size_t y = 0; y < ny; ++y) {
+    for (std::size_t a0 = 0; a0 < na; a0 += kTile) {
+      const std::size_t a1 = std::min(a0 + kTile, na);
+      for (std::size_t b0 = 0; b0 < nb; b0 += kTile) {
+        const std::size_t b1 = std::min(b0 + kTile, nb);
+        for (std::size_t b = b0; b < b1; ++b) {
+          Complex* out = to + (b * ny + y) * na;
+          for (std::size_t a = a0; a < a1; ++a) out[a] = from[(a * ny + y) * nb + b];
         }
       }
     }
   }
-  st.charge_pack();
+}
 
-  std::vector<Complex> recvbuf(sendbuf.size());
-  {
-    powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
-    st.comm.alltoall(std::span<const Complex>(sendbuf), std::span<Complex>(recvbuf), block);
-  }
+void transpose_alltoall(FtState& st, const std::vector<Complex>& send,
+                        std::vector<Complex>& recv) {
+  powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
+  st.comm.alltoall(std::span<const Complex>(send), std::span<Complex>(recv),
+                   st.local_pts / static_cast<std::size_t>(st.p));
+}
 
-  // Unpack into (zl, y, x): source s contributed x in its x-slab.
-  std::vector<Complex> a(block * static_cast<std::size_t>(st.p));
-  for (int s = 0; s < st.p; ++s) {
-    std::size_t rd = block * static_cast<std::size_t>(s);
-    for (int zl = 0; zl < st.nzl; ++zl) {
-      for (int y = 0; y < ny; ++y) {
-        const std::size_t base = (static_cast<std::size_t>(zl) * ny + y) * nx;
-        for (int xs = s * st.nxl; xs < (s + 1) * st.nxl; ++xs) {
-          a[base + static_cast<std::size_t>(xs)] = recvbuf[rd++];
-        }
-      }
-    }
-  }
+/// Transpose z-slabs -> x-slabs via all-to-all: `a` (zl, y, x) becomes `b`
+/// (xl, y, z). `a` is clobbered; it serves as the receive buffer.
+void transpose_fwd(FtState& st, std::vector<Complex>& a, std::vector<Complex>& b) {
+  shuffle_runs(st, a.data(), b.data(), /*to_wire=*/true);
   st.charge_pack();
-  return a;
+  transpose_alltoall(st, b, a);
+  swap_outer_inner(a.data(), b.data(), st.cfg->nz, st.cfg->ny, st.nxl);
+  st.charge_pack();
+}
+
+/// Transpose x-slabs -> z-slabs (inverse of transpose_fwd): `b` (xl, y, z)
+/// becomes `a` (zl, y, x). `b` is clobbered; it serves as the receive buffer.
+void transpose_bwd(FtState& st, std::vector<Complex>& b, std::vector<Complex>& a) {
+  swap_outer_inner(b.data(), a.data(), st.nxl, st.cfg->ny, st.cfg->nz);
+  st.charge_pack();
+  transpose_alltoall(st, a, b);
+  shuffle_runs(st, b.data(), a.data(), /*to_wire=*/false);
+  st.charge_pack();
 }
 
 }  // namespace
@@ -230,13 +217,15 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
   }
 
   // --- forward 3-D FFT --------------------------------------------------------
-  std::vector<Complex> ut;  // frequency-domain field, x-slab layout
+  // `cur` is the frequency-domain field (x-slab layout); it evolves by one
+  // factor step per iteration.
+  std::vector<Complex> cur(st.local_pts);
   {
     powerpack::OptionalPhase ph(phases, ctx, "ft.fft_forward");
     fft_x(st, u, /*inverse=*/false);
     fft_y(st, u, /*inverse=*/false);
-    ut = transpose_fwd(st, u);
-    fft_z(st, ut, /*inverse=*/false);
+    transpose_fwd(st, u, cur);
+    fft_z(st, cur, /*inverse=*/false);
   }
 
   // --- evolve factors (x-slab layout) -----------------------------------------
@@ -263,19 +252,19 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
   // --- iterations ---------------------------------------------------------------
   FtResult result;
   result.checksums.reserve(static_cast<std::size_t>(config.iters));
-  std::vector<Complex> cur = ut;  // evolves by one factor step per iteration
+  std::vector<Complex>& tmp = u;  // the initial field is spent; reuse its grid
+  std::vector<Complex> w(st.local_pts);
   for (int it = 1; it <= config.iters; ++it) {
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.evolve");
       for (std::size_t i = 0; i < cur.size(); ++i) cur[i] *= factor[i];
       st.charge_pointwise(costs::kFtEvolveInstrPerPoint);
     }
-    std::vector<Complex> w;
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.fft_inverse");
-      std::vector<Complex> tmp = cur;
+      std::copy(cur.begin(), cur.end(), tmp.begin());
       fft_z(st, tmp, /*inverse=*/true);
-      w = transpose_bwd(st, tmp);
+      transpose_bwd(st, tmp, w);
       fft_y(st, w, /*inverse=*/true);
       fft_x(st, w, /*inverse=*/true);
       for (auto& v : w) v *= inv_n;  // one global 1/N scale for the inverse

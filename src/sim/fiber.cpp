@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include <pthread.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -261,6 +262,23 @@ void Fiber::create(Entry entry, void* arg) {
 void Fiber::adopt_thread() {
   if (sp_ != nullptr || adopted_) throw std::logic_error("Fiber::adopt_thread: busy");
   adopted_ = true;
+#if defined(ISOEE_ASAN)
+  // Every switch back to this thread names its stack to ASan. Left at
+  // [0, 0), the thread's next throw finds no stack top, so
+  // __asan_handle_no_return skips unpoisoning the frames it unwinds, and that
+  // stale poison surfaces later as false stack-buffer-overflow and
+  // stack-use-after-scope reports.
+  pthread_attr_t attr;
+  if (::pthread_getattr_np(::pthread_self(), &attr) == 0) {
+    void* lo = nullptr;
+    std::size_t size = 0;
+    if (::pthread_attr_getstack(&attr, &lo, &size) == 0) {
+      stack_lo_ = lo;
+      stack_size_ = size;
+    }
+    ::pthread_attr_destroy(&attr);
+  }
+#endif
 #if defined(ISOEE_TSAN)
   tsan_fiber_ = __tsan_get_current_fiber();
 #endif
@@ -273,6 +291,8 @@ void Fiber::release_thread() {
   if (!adopted_) return;
   adopted_ = false;
   tsan_fiber_ = nullptr;
+  stack_lo_ = nullptr;
+  stack_size_ = 0;
 #if !defined(ISOEE_FIBER_ASM)
   delete static_cast<ucontext_t*>(uctx_);
   uctx_ = nullptr;

@@ -5,7 +5,12 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <string_view>
+#include <thread>
 #include <vector>
+
+#include "exec/codec.hpp"
 
 #include "npb/cg.hpp"
 #include "npb/classes.hpp"
@@ -26,6 +31,49 @@ sim::MachineSpec test_machine() {
   auto m = sim::system_g();
   m.noise.enabled = false;
   return m;
+}
+
+using Cvec = std::vector<std::complex<double>>;
+
+/// FNV-1a over the raw bytes of `v`, chained from `h`: any change in any low
+/// bit of any value changes the digest.
+std::uint64_t digest_bits(const Cvec& v, std::uint64_t h = 0xcbf29ce484222325ULL) {
+  return exec::fnv1a(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                      v.size() * sizeof(v[0])),
+                     h);
+}
+
+bool same_bits(const Cvec& a, const Cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+Cvec seeded_input(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  Cvec data(n);
+  for (auto& v : data) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  return data;
+}
+
+Cvec transformed(Cvec data, bool inverse) {
+  npb::fft1d(data, inverse);
+  return data;
+}
+
+/// FT checksums at 16^3 on p ranks with the given engine worker count.
+Cvec ft_checksums_16(int p, int workers = 0) {
+  npb::FtConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 16;
+  cfg.iters = 3;
+  sim::EngineOptions opts;
+  opts.workers = workers;
+  Engine eng(test_machine(), opts);
+  Cvec got;
+  eng.run(p, [&](RankCtx& ctx) {
+    auto res = npb::ft_rank(ctx, cfg);
+    if (ctx.rank() == 0) got = res.checksums;
+  });
+  return got;
 }
 
 // --- FFT ---------------------------------------------------------------------
@@ -74,6 +122,38 @@ TEST(Fft, RoundTripRecoversInput) {
 TEST(Fft, RejectsNonPowerOfTwo) {
   std::vector<std::complex<double>> data(6);
   EXPECT_THROW(npb::fft1d(data, false), std::invalid_argument);
+}
+
+// The FFT feeds every FT joule, so its output bits are pinned, not just its
+// accuracy: a rewrite that reorders one floating-point operation moves the
+// digest. The digest was recorded with a std::complex butterfly that reran
+// the `w *= wlen` twiddle recurrence in every block.
+TEST(Fft, OutputBitsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+    const Cvec input = seeded_input(n, 1234 + n);
+    h = digest_bits(transformed(input, false), h);
+    h = digest_bits(transformed(input, true), h);
+  }
+  EXPECT_EQ(h, 0x4ede1d0bbf46d4b0ULL);
+}
+
+// Twiddles are cached per (length, direction) per thread. Interleaving
+// lengths and directions on one thread must give the same bits as each call
+// made alone on a thread whose cache is empty.
+TEST(Fft, TwiddleCacheFollowsLengthAndDirection) {
+  struct Call {
+    std::size_t n;
+    bool inverse;
+  };
+  for (const Call c :
+       {Call{64, false}, Call{32, true}, Call{64, true}, Call{64, false}}) {
+    const Cvec input = seeded_input(c.n, 77);
+    const Cvec here = transformed(input, c.inverse);
+    Cvec fresh;
+    std::thread([&] { fresh = transformed(input, c.inverse); }).join();
+    EXPECT_TRUE(same_bits(here, fresh)) << "n=" << c.n << " inverse=" << c.inverse;
+  }
 }
 
 TEST(Fft, SizeOneIsIdentity) {
@@ -202,6 +282,21 @@ TEST(Ft, ZeroEvolveRoundTripsToInitialField) {
     EXPECT_NEAR(cs.real(), expect.real(), 1e-8 * std::abs(expect.real()));
     EXPECT_NEAR(cs.imag(), expect.imag(), 1e-8 * std::abs(expect.imag()));
   }
+}
+
+// FT's checksums to the bit, on one rank and on four. The digests were
+// recorded with that std::complex butterfly and element-by-element transposes.
+TEST(Ft, ChecksumBitsPinned) {
+  EXPECT_EQ(digest_bits(ft_checksums_16(1)), 0x6a42cb3967abadafULL);
+  EXPECT_EQ(digest_bits(ft_checksums_16(4)), 0xfe25bf9b3a83e810ULL);
+}
+
+// The FFT's per-thread twiddle cache is shared by every fiber a worker runs;
+// spreading the ranks over two workers must not change a bit.
+TEST(Ft, ChecksumBitsIndependentOfEngineWorkers) {
+  const Cvec one = ft_checksums_16(4, 1);
+  ASSERT_EQ(one.size(), 3u);
+  EXPECT_TRUE(same_bits(one, ft_checksums_16(4, 2)));
 }
 
 TEST(Ft, RejectsInvalidDecomposition) {
