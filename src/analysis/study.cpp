@@ -47,56 +47,44 @@ const std::string& payload_of(const exec::CaseResult& r) {
   return r.payload;
 }
 
+/// A payload of `fields`: their values as encode_doubles hex words.
+std::string encode_fields(const model::Fields& fields) {
+  std::vector<double> values;
+  for (const model::Field& f : fields) values.push_back(f.get());
+  return exec::encode_doubles(values);
+}
+
+/// Inverse of encode_fields; throws on a payload that does not fit `fields`.
+void decode_fields(std::string_view payload, const model::Fields& fields, const char* what) {
+  const std::vector<double> values = exec::decode_doubles(payload);
+  if (values.size() != fields.size()) {
+    throw std::invalid_argument(std::string(what) + " entry: wrong arity");
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!fields[i].set(values[i])) {
+      throw std::invalid_argument(std::string(what) + " entry: " + fields[i].key +
+                                  " out of range");
+    }
+  }
+}
+
+/// The machine vector's payload: its name, then its fields.
 std::string encode_machine_params(const model::MachineParams& m) {
-  return m.name + '\x1f' +
-         exec::encode_doubles({m.cpi, m.f_ghz, m.base_ghz, m.t_m, m.t_s, m.t_w,
-                               m.p_sys_idle, m.dp_c_base, m.dp_m, m.dp_io, m.gamma,
-                               m.poll_factor, m.f_comm_ghz});
+  return m.name + '\x1f' + encode_fields(m.fields());
 }
 
 model::MachineParams decode_machine_params(const std::string& text) {
   const std::size_t sep = text.find('\x1f');
   if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
-  const std::vector<double> v = exec::decode_doubles(std::string_view(text).substr(sep + 1));
-  if (v.size() != 13) throw std::invalid_argument("machine-params entry: wrong arity");
   model::MachineParams m;
   m.name = text.substr(0, sep);
-  m.cpi = v[0];
-  m.f_ghz = v[1];
-  m.base_ghz = v[2];
-  m.t_m = v[3];
-  m.t_s = v[4];
-  m.t_w = v[5];
-  m.p_sys_idle = v[6];
-  m.dp_c_base = v[7];
-  m.dp_m = v[8];
-  m.dp_io = v[9];
-  m.gamma = v[10];
-  m.poll_factor = v[11];
-  m.f_comm_ghz = v[12];
+  decode_fields(std::string_view(text).substr(sep + 1), m.fields(), "machine-params");
   return m;
 }
 
-std::string encode_sample(const CounterSample& s) {
-  return exec::encode_doubles({s.n, static_cast<double>(s.p), s.instructions,
-                               s.mem_accesses, s.mem_time, s.io_time, s.makespan,
-                               s.messages, s.bytes, s.alpha});
-}
-
 CounterSample decode_sample(const std::string& text) {
-  const std::vector<double> v = exec::decode_doubles(text);
-  if (v.size() != 10) throw std::invalid_argument("counter-sample entry: wrong arity");
   CounterSample s;
-  s.n = v[0];
-  s.p = static_cast<int>(v[1]);
-  s.instructions = v[2];
-  s.mem_accesses = v[3];
-  s.mem_time = v[4];
-  s.io_time = v[5];
-  s.makespan = v[6];
-  s.messages = v[7];
-  s.bytes = v[8];
-  s.alpha = v[9];
+  decode_fields(text, s.fields(), "counter-sample");
   return s;
 }
 
@@ -320,7 +308,7 @@ Plan<Calibration> calibration_plan(const sim::MachineSpec& machine,
     c.run = [machine, adapter, n, p] {
       double snapped = n;
       const sim::RunResult run = adapter->run(machine, n, p, RunOptions(), &snapped);
-      return encode_sample(make_sample(run, snapped, p));
+      return encode_fields(make_sample(run, snapped, p).fields());
     };
     plan.cases.push_back(std::move(c));
   };

@@ -1,6 +1,7 @@
 #include "analysis/workload_fit.hpp"
 
 #include <cmath>
+#include <functional>
 
 #include "analysis/leastsq.hpp"
 #include "model/comm.hpp"
@@ -9,39 +10,69 @@ namespace isoee::analysis {
 
 namespace {
 
+/// The p = 1 samples (`parallel` false) or the p > 1 ones (true).
+std::vector<CounterSample> where(std::span<const CounterSample> samples, bool parallel) {
+  std::vector<CounterSample> out;
+  for (const auto& s : samples) {
+    if ((s.p > 1) == parallel) out.push_back(s);
+  }
+  return out;
+}
+
+constexpr bool kSequential = false;
+constexpr bool kParallel = true;
+
+/// `value` (a member or a function of the sample) for every sample: one
+/// column or right-hand side of a fit.
+template <class Value>
+std::vector<double> column(std::span<const CounterSample> samples, Value value) {
+  std::vector<double> out;
+  out.reserve(samples.size());
+  for (const auto& s : samples) out.push_back(static_cast<double>(std::invoke(value, s)));
+  return out;
+}
+
+double plogp(const CounterSample& s) { return static_cast<double>(s.p) * model::ceil_log2(s.p); }
+
 /// Mean alpha over parallel samples (falls back to all samples).
 double mean_alpha(std::span<const CounterSample> samples) {
+  const std::vector<CounterSample> par = where(samples, kParallel);
+  const std::span<const CounterSample> from = par.empty() ? samples : par;
   double sum = 0.0;
-  int count = 0;
-  for (const auto& s : samples) {
-    if (s.p > 1) {
-      sum += s.alpha;
-      ++count;
-    }
-  }
-  if (count == 0) {
-    for (const auto& s : samples) {
-      sum += s.alpha;
-      ++count;
-    }
-  }
-  return count > 0 ? sum / count : 1.0;
+  for (const auto& s : from) sum += s.alpha;
+  return from.empty() ? 1.0 : sum / static_cast<double>(from.size());
 }
 
-std::vector<CounterSample> sequential(std::span<const CounterSample> samples) {
-  std::vector<CounterSample> out;
-  for (const auto& s : samples) {
-    if (s.p == 1) out.push_back(s);
-  }
-  return out;
+/// Sequential W_c = wc*n and W_m = wm*n (effective accesses); leaves both as
+/// they are without sequential samples.
+void fit_per_n(std::span<const CounterSample> seq, double t_m, double& wc, double& wm) {
+  if (seq.empty()) return;
+  const std::vector<double> ns = column(seq, &CounterSample::n);
+  wc = ols1(ns, column(seq, &CounterSample::instructions));
+  wm = ols1(ns, column(seq, [t_m](const CounterSample& s) { return s.mem_time / t_m; }));
 }
 
-std::vector<CounterSample> parallel(std::span<const CounterSample> samples) {
-  std::vector<CounterSample> out;
-  for (const auto& s : samples) {
-    if (s.p > 1) out.push_back(s);
+/// FT's and IS's overheads over >= 2 parallel samples: dW = a*p*ceil_log2(p) +
+/// b*p, as the counter excess over the sequential fit (`seq_wc(n)` and
+/// w.wm_n * n). A singular fit leaves its pair as it is.
+template <class W, class SeqWc>
+void fit_plogp_p_overheads(W& w, std::span<const CounterSample> par, double t_m,
+                           SeqWc seq_wc) {
+  if (par.size() < 2) return;
+  const std::vector<std::vector<double>> cols = {column(par, plogp),
+                                                 column(par, &CounterSample::p)};
+  const auto dwoc =
+      column(par, [&](const CounterSample& s) { return s.instructions - seq_wc(s.n); });
+  const auto dwom =
+      column(par, [&](const CounterSample& s) { return s.mem_time / t_m - w.wm_n * s.n; });
+  if (const OlsResult fit = ols(cols, dwoc); fit.ok) {
+    w.dwoc_plogp = fit.coeffs[0];
+    w.dwoc_p = fit.coeffs[1];
   }
-  return out;
+  if (const OlsResult fit = ols(cols, dwom); fit.ok) {
+    w.dwom_plogp = fit.coeffs[0];
+    w.dwom_p = fit.coeffs[1];
+  }
 }
 
 }  // namespace
@@ -63,28 +94,15 @@ CounterSample make_sample(const sim::RunResult& run, double n, int p) {
 
 model::EpWorkload fit_ep_workload(std::span<const CounterSample> samples, double t_m) {
   model::EpWorkload w;
-  const auto seq = sequential(samples);
-  const auto par = parallel(samples);
-
-  // Sequential: W_c = a*n, W_m = b*n.
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);  // effective off-chip accesses
-  }
-  if (!seq.empty()) {
-    w.wc_per_trial = ols1(ns, instr);
-    w.wm_per_trial = ols1(ns, mem);
-  }
+  const auto par = where(samples, kParallel);
+  fit_per_n(where(samples, kSequential), t_m, w.wc_per_trial, w.wm_per_trial);
 
   // Overheads vs p*ceil_log2(p) (allreduce combine work).
-  std::vector<double> basis, dwoc;
-  for (const auto& s : par) {
-    basis.push_back(static_cast<double>(s.p) * model::ceil_log2(s.p));
-    dwoc.push_back(s.instructions - w.wc_per_trial * s.n);
+  if (!par.empty()) {
+    const auto dwoc =
+        column(par, [&](const CounterSample& s) { return s.instructions - w.wc_per_trial * s.n; });
+    w.dwoc_plogp = std::max(0.0, ols1(column(par, plogp), dwoc));
   }
-  if (!par.empty()) w.dwoc_plogp = std::max(0.0, ols1(basis, dwoc));
 
   w.alpha = mean_alpha(samples);
   return w;
@@ -94,60 +112,32 @@ model::FtWorkload fit_ft_workload(std::span<const CounterSample> samples, int it
                                   double t_m) {
   model::FtWorkload w;
   w.iters = iters;
-  const auto seq = sequential(samples);
-  const auto par = parallel(samples);
+  const auto seq = where(samples, kSequential);
 
   // Sequential: W_c = a*n*log2(n) + b*n. The two-column fit needs >= 3
   // sizes — with two, the near-collinear columns (log2 n varies slowly)
-  // produce wildly oscillating coefficients.
-  if (seq.size() >= 3) {
-    std::vector<double> col_nlogn, col_n, instr, mem;
-    for (const auto& s : seq) {
-      col_nlogn.push_back(s.n * std::log2(s.n));
-      col_n.push_back(s.n);
-      instr.push_back(s.instructions);
-      mem.push_back(s.mem_time / t_m);
+  // produce wildly oscillating coefficients; one or two sizes get the stable
+  // one-term fit.
+  if (!seq.empty()) {
+    const auto col_nlogn = column(seq, [](const CounterSample& s) { return s.n * std::log2(s.n); });
+    const auto col_n = column(seq, &CounterSample::n);
+    const auto instr = column(seq, &CounterSample::instructions);
+    if (seq.size() >= 3) {
+      const std::vector<std::vector<double>> cols = {col_nlogn, col_n};
+      if (const OlsResult fit = ols(cols, instr); fit.ok) {
+        w.wc_nlogn = fit.coeffs[0];
+        w.wc_n = fit.coeffs[1];
+      }
+    } else {
+      w.wc_nlogn = ols1(col_nlogn, instr);
+      w.wc_n = 0.0;
     }
-    const std::vector<std::vector<double>> cols = {col_nlogn, col_n};
-    const OlsResult fit = ols(cols, instr);
-    if (fit.ok) {
-      w.wc_nlogn = fit.coeffs[0];
-      w.wc_n = fit.coeffs[1];
-    }
-    w.wm_n = ols1(col_n, mem);
-  } else if (!seq.empty()) {
-    // One or two sizes: stable one-term fits.
-    std::vector<double> col_nlogn, col_n, instr, mem;
-    for (const auto& s : seq) {
-      col_nlogn.push_back(s.n * std::log2(s.n));
-      col_n.push_back(s.n);
-      instr.push_back(s.instructions);
-      mem.push_back(s.mem_time / t_m);
-    }
-    w.wc_nlogn = ols1(col_nlogn, instr);
-    w.wc_n = 0.0;
-    w.wm_n = ols1(col_n, mem);
+    w.wm_n = ols1(col_n, column(seq, [t_m](const CounterSample& s) { return s.mem_time / t_m; }));
   }
 
-  // Overheads vs {p*log2 p, p}.
-  if (par.size() >= 2) {
-    std::vector<double> col_plogp, col_p, dwoc, dwom;
-    for (const auto& s : par) {
-      col_plogp.push_back(static_cast<double>(s.p) * model::ceil_log2(s.p));
-      col_p.push_back(static_cast<double>(s.p));
-      dwoc.push_back(s.instructions - (w.wc_nlogn * s.n * std::log2(s.n) + w.wc_n * s.n));
-      dwom.push_back(s.mem_time / t_m - w.wm_n * s.n);
-    }
-    const std::vector<std::vector<double>> cols = {col_plogp, col_p};
-    if (const OlsResult fit = ols(cols, dwoc); fit.ok) {
-      w.dwoc_plogp = fit.coeffs[0];
-      w.dwoc_p = fit.coeffs[1];
-    }
-    if (const OlsResult fit = ols(cols, dwom); fit.ok) {
-      w.dwom_plogp = fit.coeffs[0];
-      w.dwom_p = fit.coeffs[1];
-    }
-  }
+  fit_plogp_p_overheads(w, where(samples, kParallel), t_m, [&w](double n) {
+    return w.wc_nlogn * n * std::log2(n) + w.wc_n * n;
+  });
 
   w.alpha = mean_alpha(samples);
   return w;
@@ -159,28 +149,16 @@ model::CgWorkload fit_cg_workload(std::span<const CounterSample> samples, int ou
   w.outer = outer;
   w.inner = inner;
   w.nzr = nzr;
-  const auto seq = sequential(samples);
-  const auto par = parallel(samples);
-
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
+  const auto par = where(samples, kParallel);
+  fit_per_n(where(samples, kSequential), t_m, w.wc_n, w.wm_n);
 
   // Overheads vs n*(p-1): the gathered-vector assembly terms.
-  std::vector<double> basis, dwoc, dwom;
-  for (const auto& s : par) {
-    basis.push_back(s.n * (s.p - 1));
-    dwoc.push_back(s.instructions - w.wc_n * s.n);
-    dwom.push_back(s.mem_time / t_m - w.wm_n * s.n);
-  }
   if (!par.empty()) {
+    const auto basis = column(par, [](const CounterSample& s) { return s.n * (s.p - 1); });
+    const auto dwoc =
+        column(par, [&](const CounterSample& s) { return s.instructions - w.wc_n * s.n; });
+    const auto dwom =
+        column(par, [&](const CounterSample& s) { return s.mem_time / t_m - w.wm_n * s.n; });
     w.dwoc_npm1 = std::max(0.0, ols1(basis, dwoc));
     // The memory overhead may legitimately be *negative*: per-rank working
     // sets shrink with p and more of the raw accesses become cache hits —
@@ -194,39 +172,8 @@ model::CgWorkload fit_cg_workload(std::span<const CounterSample> samples, int ou
 
 model::IsWorkload fit_is_workload(std::span<const CounterSample> samples, double t_m) {
   model::IsWorkload w;
-  const auto seq = sequential(samples);
-  const auto par = parallel(samples);
-
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
-
-  if (par.size() >= 2) {
-    std::vector<double> col_plogp, col_p, dwoc, dwom;
-    for (const auto& s : par) {
-      col_plogp.push_back(static_cast<double>(s.p) * model::ceil_log2(s.p));
-      col_p.push_back(static_cast<double>(s.p));
-      dwoc.push_back(s.instructions - w.wc_n * s.n);
-      dwom.push_back(s.mem_time / t_m - w.wm_n * s.n);
-    }
-    const std::vector<std::vector<double>> cols = {col_plogp, col_p};
-    if (const OlsResult fit = ols(cols, dwoc); fit.ok) {
-      w.dwoc_plogp = fit.coeffs[0];
-      w.dwoc_p = fit.coeffs[1];
-    }
-    if (const OlsResult fit = ols(cols, dwom); fit.ok) {
-      w.dwom_plogp = fit.coeffs[0];
-      w.dwom_p = fit.coeffs[1];
-    }
-  }
-
+  fit_per_n(where(samples, kSequential), t_m, w.wc_n, w.wm_n);
+  fit_plogp_p_overheads(w, where(samples, kParallel), t_m, [&w](double n) { return w.wc_n * n; });
   w.alpha = mean_alpha(samples);
   return w;
 }
@@ -235,34 +182,21 @@ model::MgWorkload fit_mg_workload(std::span<const CounterSample> samples, int cy
                                   double t_m) {
   model::MgWorkload w;
   w.cycles = cycles;
-  const auto seq = sequential(samples);
-  const auto par = parallel(samples);
+  const auto par = where(samples, kParallel);
+  fit_per_n(where(samples, kSequential), t_m, w.wc_n, w.wm_n);
 
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
-
-  std::vector<double> col_p, col_n23p, dwoc, dwom, msgs, bytes;
-  for (const auto& s : par) {
-    col_p.push_back(static_cast<double>(s.p));
-    col_n23p.push_back(std::pow(s.n, 2.0 / 3.0) * s.p);
-    dwoc.push_back(s.instructions - w.wc_n * s.n);
-    dwom.push_back(s.mem_time / t_m - w.wm_n * s.n);
-    msgs.push_back(s.messages);
-    bytes.push_back(s.bytes);
-  }
   if (!par.empty()) {
+    const auto col_p = column(par, &CounterSample::p);
+    const auto col_n23p =
+        column(par, [](const CounterSample& s) { return std::pow(s.n, 2.0 / 3.0) * s.p; });
+    const auto dwoc =
+        column(par, [&](const CounterSample& s) { return s.instructions - w.wc_n * s.n; });
+    const auto dwom =
+        column(par, [&](const CounterSample& s) { return s.mem_time / t_m - w.wm_n * s.n; });
     w.dwoc_p = ols1(col_p, dwoc);
     w.dwom_p = ols1(col_p, dwom);
-    w.msgs_p = std::max(0.0, ols1(col_p, msgs));
-    w.bytes_n23p = std::max(0.0, ols1(col_n23p, bytes));
+    w.msgs_p = std::max(0.0, ols1(col_p, column(par, &CounterSample::messages)));
+    w.bytes_n23p = std::max(0.0, ols1(col_n23p, column(par, &CounterSample::bytes)));
   }
 
   w.alpha = mean_alpha(samples);
@@ -274,28 +208,13 @@ model::CkptWorkload fit_ckpt_workload(std::span<const CounterSample> samples,
   model::CkptWorkload w;
   w.iterations = iterations;
   w.ckpt_every = ckpt_every;
-  const auto seq = sequential(samples);
-
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
+  fit_per_n(where(samples, kSequential), t_m, w.wc_n, w.wm_n);
 
   // I/O time over all samples: T_io = io_p * p + io_n * n.
-  std::vector<double> col_p, col_n, io;
-  for (const auto& s : samples) {
-    col_p.push_back(static_cast<double>(s.p));
-    col_n.push_back(s.n);
-    io.push_back(s.io_time);
-  }
   if (samples.size() >= 2) {
-    const std::vector<std::vector<double>> cols = {col_p, col_n};
+    const std::vector<std::vector<double>> cols = {column(samples, &CounterSample::p),
+                                                   column(samples, &CounterSample::n)};
+    const auto io = column(samples, &CounterSample::io_time);
     if (const OlsResult fit = ols(cols, io); fit.ok) {
       w.io_p = std::max(0.0, fit.coeffs[0]);
       w.io_n = std::max(0.0, fit.coeffs[1]);
@@ -311,33 +230,21 @@ model::SweepWorkload fit_sweep_workload(std::span<const CounterSample> samples, 
   model::SweepWorkload w;
   w.sweeps = sweeps;
   w.tile_w = tile_w;
-  const auto seq = sequential(samples);
-  const auto par = parallel(samples);
-
-  std::vector<double> ns, instr, mem, wall;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-    wall.push_back(s.makespan);
-  }
+  const auto seq = where(samples, kSequential);
+  const auto par = where(samples, kParallel);
+  fit_per_n(seq, t_m, w.wc_n, w.wm_n);
   if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-    w.sec_per_cell = ols1(ns, wall);  // one rank's issued seconds per cell
+    // One rank's issued seconds per cell.
+    w.sec_per_cell = ols1(column(seq, &CounterSample::n), column(seq, &CounterSample::makespan));
   }
 
-  std::vector<double> col_pm1, col_pm1n, msgs, bytes;
-  for (const auto& s : par) {
-    const double rows = std::sqrt(s.n);
-    col_pm1.push_back(static_cast<double>(s.p - 1));
-    col_pm1n.push_back(static_cast<double>(s.p - 1) * rows);
-    msgs.push_back(s.messages);
-    bytes.push_back(s.bytes);
-  }
   if (!par.empty()) {
-    w.msgs_pm1 = std::max(0.0, ols1(col_pm1, msgs));
-    w.bytes_pm1n = std::max(0.0, ols1(col_pm1n, bytes));
+    const auto col_pm1 = column(par, [](const CounterSample& s) { return s.p - 1; });
+    const auto col_pm1n = column(par, [](const CounterSample& s) {
+      return static_cast<double>(s.p - 1) * std::sqrt(s.n);
+    });
+    w.msgs_pm1 = std::max(0.0, ols1(col_pm1, column(par, &CounterSample::messages)));
+    w.bytes_pm1n = std::max(0.0, ols1(col_pm1n, column(par, &CounterSample::bytes)));
   }
 
   w.alpha = mean_alpha(samples);

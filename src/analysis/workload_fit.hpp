@@ -32,6 +32,22 @@ struct CounterSample {
   double messages = 0.0;
   double bytes = 0.0;
   double alpha = 1.0;  // measured overlap factor of the run
+
+  /// Every member, in cache-payload order.
+  model::Fields fields() {
+    return {{"n", n},
+            {"p", p},
+            {"instructions", instructions},
+            {"mem_accesses", mem_accesses},
+            {"mem_time", mem_time},
+            {"io_time", io_time},
+            {"makespan", makespan},
+            {"messages", messages},
+            {"bytes", bytes},
+            {"alpha", alpha}};
+  }
+  /// Read-only use: the codec only get()s through these.
+  model::Fields fields() const { return const_cast<CounterSample*>(this)->fields(); }
 };
 
 /// Extracts a CounterSample from a finished run.

@@ -23,6 +23,7 @@
 
 #include "benchtools/tracestats.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -80,7 +81,7 @@ void print_report(const std::string& path, const TraceReport& report) {
 /// first — the engine throughput counters the rearchitecture added
 /// (ranks_simulated, events_processed, rank_seconds_per_sec) are the headline
 /// numbers this view exists for. Parses both snapshot formats: .csv rows of
-/// `name,kind,value` and the flat .json object write_json emits.
+/// `name,kind,value` and the one-line .json object write_json emits.
 void print_metrics_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open --metrics file " + path);
@@ -89,36 +90,31 @@ void print_metrics_file(const std::string& path) {
   };
   std::vector<Entry> entries;
   const bool json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-  std::string line;
-  while (std::getline(in, line)) {
-    Entry e;
-    if (json) {
-      // Lines look like:  "name": {"kind": "counter", "value": 123}
-      const auto q1 = line.find('"');
-      if (q1 == std::string::npos) continue;
-      const auto q2 = line.find('"', q1 + 1);
-      if (q2 == std::string::npos) continue;
-      e.name = line.substr(q1 + 1, q2 - q1 - 1);
-      const auto kq = line.find("\"kind\": \"", q2);
-      const auto vq = line.find("\"value\": ", q2);
-      if (kq == std::string::npos || vq == std::string::npos) continue;
-      const auto kend = line.find('"', kq + 9);
-      e.kind = line.substr(kq + 9, kend - kq - 9);
-      auto vend = line.find_last_of('}');
-      if (vend == std::string::npos || vend < vq) continue;
-      e.value = line.substr(vq + 9, vend - vq - 9);
-      while (!e.value.empty() && (e.value.back() == ',' || e.value.back() == ' ')) {
-        e.value.pop_back();
-      }
-    } else {
+  if (json) {
+    std::stringstream text;
+    text << in.rdbuf();
+    // {"<name>":{"kind":"counter","value":123},...}; values print as %.17g,
+    // which gives back the registry's own text for both counters and gauges.
+    for (const auto& [name, row] : isoee::util::parse_json(text.str()).object) {
+      const auto* kind = row.find("kind");
+      const auto* value = row.find("value");
+      if (kind == nullptr || value == nullptr) continue;
+      char buf[40];
+      std::snprintf(buf, sizeof buf, "%.17g", value->number);
+      entries.push_back({name, kind->str, buf});
+    }
+  } else {
+    std::string line;
+    while (std::getline(in, line)) {
+      Entry e;
       std::istringstream fields(line);
       if (!std::getline(fields, e.name, ',') || !std::getline(fields, e.kind, ',') ||
           !std::getline(fields, e.value)) {
         continue;
       }
       if (e.name == "name") continue;  // CSV header
+      if (!e.name.empty()) entries.push_back(std::move(e));
     }
-    if (!e.name.empty()) entries.push_back(std::move(e));
   }
   isoee::util::Table table({"metric", "kind", "value"});
   for (const auto& e : entries) {  // engine.* first: the throughput headline

@@ -10,8 +10,39 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 namespace isoee::model {
+
+/// One named number of a parameter vector: a key and a reference to the
+/// member. A vector's `fields()` lists them in the order its calibration text
+/// and its cache payload are written, so each codec is one loop over that list.
+/// Int members (iteration counts, tile widths) travel as doubles.
+class Field {
+ public:
+  Field(const char* key, double& member) : key(key), d_(&member) {}
+  Field(const char* key, int& member) : key(key), i_(&member) {}
+
+  const char* key;
+
+  double get() const { return d_ != nullptr ? *d_ : static_cast<double>(*i_); }
+  /// Stores `v`, truncated for an int member. False, storing nothing, when
+  /// `v` does not fit an int member.
+  bool set(double v) const {
+    if (d_ != nullptr) {
+      *d_ = v;
+      return true;
+    }
+    if (!(v > -2147483649.0 && v < 2147483648.0)) return false;
+    *i_ = static_cast<int>(v);
+    return true;
+  }
+
+ private:
+  double* d_ = nullptr;
+  int* i_ = nullptr;
+};
+using Fields = std::vector<Field>;
 
 /// Machine-dependent parameters (paper Table 1). All powers are per processor
 /// (per core slot); frequency is carried so t_c and dP_c can be re-derived at
@@ -40,6 +71,29 @@ struct MachineParams {
   // communication runs at f_ghz.
   double poll_factor = 0.0;
   double f_comm_ghz = 0.0;
+
+  /// Every number of the vector (not `name`), in text and payload order.
+  Fields fields() {
+    return {{"cpi", cpi},
+            {"f_ghz", f_ghz},
+            {"base_ghz", base_ghz},
+            {"t_m", t_m},
+            {"t_s", t_s},
+            {"t_w", t_w},
+            {"p_sys_idle", p_sys_idle},
+            {"dp_c_base", dp_c_base},
+            {"dp_m", dp_m},
+            {"dp_io", dp_io},
+            {"gamma", gamma},
+            {"poll_factor", poll_factor},
+            {"f_comm_ghz", f_comm_ghz}};
+  }
+  /// Read-only use: the codecs only get() through these.
+  Fields fields() const { return const_cast<MachineParams*>(this)->fields(); }
+
+  /// Whether t_c and dP_c are finite at every positive gear: cpi, f_ghz and
+  /// base_ghz are > 0. A vector that fails this predicts inf or nan.
+  bool well_defined() const { return cpi > 0.0 && f_ghz > 0.0 && base_ghz > 0.0; }
 
   /// CPU power increment while busy-polling the network.
   double dp_poll() const {

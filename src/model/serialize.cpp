@@ -1,9 +1,12 @@
 #include "model/serialize.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 namespace isoee::model {
 
@@ -59,221 +62,61 @@ std::optional<Document> parse_document(const std::string& text) {
   return doc;
 }
 
-double get_num(const std::map<std::string, std::string>& kv, const std::string& key,
-               double fallback) {
-  const auto it = kv.find(key);
-  return it != kv.end() ? std::strtod(it->second.c_str(), nullptr) : fallback;
+/// Strict number: the whole value is one finite number in strtod syntax.
+std::optional<double> parse_number(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(v)) return std::nullopt;
+  return v;
 }
 
-std::string get_str(const std::map<std::string, std::string>& kv, const std::string& key,
-                    const std::string& fallback) {
-  const auto it = kv.find(key);
-  return it != kv.end() ? it->second : fallback;
+std::string write_fields(std::string out, const Fields& fields) {
+  for (const Field& f : fields) out += std::string(f.key) + " = " + fmt(f.get()) + "\n";
+  return out;
+}
+
+/// Sets every field whose key is present; absent keys keep their defaults.
+/// False when a present value is not a number the field can hold.
+bool read_fields(const std::map<std::string, std::string>& kv, const Fields& fields) {
+  for (const Field& f : fields) {
+    const auto it = kv.find(f.key);
+    if (it == kv.end()) continue;
+    const std::optional<double> v = parse_number(it->second);
+    if (!v || !f.set(*v)) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 std::string serialize(const MachineParams& m) {
-  std::string out = "[machine]\n";
-  out += "name = " + m.name + "\n";
-  out += "cpi = " + fmt(m.cpi) + "\n";
-  out += "f_ghz = " + fmt(m.f_ghz) + "\n";
-  out += "base_ghz = " + fmt(m.base_ghz) + "\n";
-  out += "t_m = " + fmt(m.t_m) + "\n";
-  out += "t_s = " + fmt(m.t_s) + "\n";
-  out += "t_w = " + fmt(m.t_w) + "\n";
-  out += "p_sys_idle = " + fmt(m.p_sys_idle) + "\n";
-  out += "dp_c_base = " + fmt(m.dp_c_base) + "\n";
-  out += "dp_m = " + fmt(m.dp_m) + "\n";
-  out += "dp_io = " + fmt(m.dp_io) + "\n";
-  out += "gamma = " + fmt(m.gamma) + "\n";
-  out += "poll_factor = " + fmt(m.poll_factor) + "\n";
-  out += "f_comm_ghz = " + fmt(m.f_comm_ghz) + "\n";
-  return out;
+  return write_fields("[machine]\nname = " + m.name + "\n", m.fields());
 }
 
 std::optional<MachineParams> parse_machine(const std::string& text) {
   const auto doc = parse_document(text);
   if (!doc || doc->machine_header.empty()) return std::nullopt;
-  const auto& kv = doc->machine;
   MachineParams m;
-  m.name = get_str(kv, "name", m.name);
-  m.cpi = get_num(kv, "cpi", m.cpi);
-  m.f_ghz = get_num(kv, "f_ghz", m.f_ghz);
-  m.base_ghz = get_num(kv, "base_ghz", m.base_ghz);
-  m.t_m = get_num(kv, "t_m", m.t_m);
-  m.t_s = get_num(kv, "t_s", m.t_s);
-  m.t_w = get_num(kv, "t_w", m.t_w);
-  m.p_sys_idle = get_num(kv, "p_sys_idle", m.p_sys_idle);
-  m.dp_c_base = get_num(kv, "dp_c_base", m.dp_c_base);
-  m.dp_m = get_num(kv, "dp_m", m.dp_m);
-  m.dp_io = get_num(kv, "dp_io", m.dp_io);
-  m.gamma = get_num(kv, "gamma", m.gamma);
-  m.poll_factor = get_num(kv, "poll_factor", m.poll_factor);
-  m.f_comm_ghz = get_num(kv, "f_comm_ghz", m.f_comm_ghz);
+  if (const auto it = doc->machine.find("name"); it != doc->machine.end()) m.name = it->second;
+  if (!read_fields(doc->machine, m.fields()) || !m.well_defined()) return std::nullopt;
   return m;
 }
 
 std::string serialize(const WorkloadModel& workload) {
-  std::string out = "[workload " + workload.name() + "]\n";
-  auto field = [&out](const char* key, double value) {
-    out += std::string(key) + " = " + fmt(value) + "\n";
-  };
-  if (const auto* ep = dynamic_cast<const EpWorkload*>(&workload)) {
-    field("alpha", ep->alpha);
-    field("wc_per_trial", ep->wc_per_trial);
-    field("wm_per_trial", ep->wm_per_trial);
-    field("dwoc_plogp", ep->dwoc_plogp);
-    field("dwom_plogp", ep->dwom_plogp);
-  } else if (const auto* ft = dynamic_cast<const FtWorkload*>(&workload)) {
-    field("alpha", ft->alpha);
-    field("iters", ft->iters);
-    field("wc_nlogn", ft->wc_nlogn);
-    field("wc_n", ft->wc_n);
-    field("wm_n", ft->wm_n);
-    field("dwoc_plogp", ft->dwoc_plogp);
-    field("dwoc_p", ft->dwoc_p);
-    field("dwom_plogp", ft->dwom_plogp);
-    field("dwom_p", ft->dwom_p);
-  } else if (const auto* cg = dynamic_cast<const CgWorkload*>(&workload)) {
-    field("alpha", cg->alpha);
-    field("outer", cg->outer);
-    field("inner", cg->inner);
-    field("nzr", cg->nzr);
-    field("wc_n", cg->wc_n);
-    field("wm_n", cg->wm_n);
-    field("dwoc_npm1", cg->dwoc_npm1);
-    field("dwom_npm1", cg->dwom_npm1);
-  } else if (const auto* mg = dynamic_cast<const MgWorkload*>(&workload)) {
-    field("alpha", mg->alpha);
-    field("cycles", mg->cycles);
-    field("wc_n", mg->wc_n);
-    field("wm_n", mg->wm_n);
-    field("dwoc_p", mg->dwoc_p);
-    field("dwom_p", mg->dwom_p);
-    field("msgs_p", mg->msgs_p);
-    field("bytes_n23p", mg->bytes_n23p);
-    field("duplex", mg->duplex);
-  } else if (const auto* is = dynamic_cast<const IsWorkload*>(&workload)) {
-    field("alpha", is->alpha);
-    field("key_bytes", is->key_bytes);
-    field("wc_n", is->wc_n);
-    field("wm_n", is->wm_n);
-    field("dwoc_plogp", is->dwoc_plogp);
-    field("dwoc_p", is->dwoc_p);
-    field("dwom_plogp", is->dwom_plogp);
-    field("dwom_p", is->dwom_p);
-  } else if (const auto* sw = dynamic_cast<const SweepWorkload*>(&workload)) {
-    field("alpha", sw->alpha);
-    field("sweeps", sw->sweeps);
-    field("tile_w", sw->tile_w);
-    field("wc_n", sw->wc_n);
-    field("wm_n", sw->wm_n);
-    field("sec_per_cell", sw->sec_per_cell);
-    field("msgs_pm1", sw->msgs_pm1);
-    field("bytes_pm1n", sw->bytes_pm1n);
-  } else if (const auto* ck = dynamic_cast<const CkptWorkload*>(&workload)) {
-    field("alpha", ck->alpha);
-    field("iterations", ck->iterations);
-    field("ckpt_every", ck->ckpt_every);
-    field("wc_n", ck->wc_n);
-    field("wm_n", ck->wm_n);
-    field("io_p", ck->io_p);
-    field("io_n", ck->io_n);
-  } else {
+  const Fields fields = workload.fields();
+  if (fields.empty()) {
     throw std::invalid_argument("serialize: unknown workload type " + workload.name());
   }
-  return out;
+  return write_fields("[workload " + workload.name() + "]\n", fields);
 }
 
 std::unique_ptr<WorkloadModel> parse_workload(const std::string& text) {
   const auto doc = parse_document(text);
   if (!doc || doc->workload_name.empty()) return nullptr;
-  const auto& kv = doc->workload;
-  const std::string& name = doc->workload_name;
-  if (name == "EP") {
-    auto w = std::make_unique<EpWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->wc_per_trial = get_num(kv, "wc_per_trial", w->wc_per_trial);
-    w->wm_per_trial = get_num(kv, "wm_per_trial", w->wm_per_trial);
-    w->dwoc_plogp = get_num(kv, "dwoc_plogp", w->dwoc_plogp);
-    w->dwom_plogp = get_num(kv, "dwom_plogp", w->dwom_plogp);
-    return w;
-  }
-  if (name == "FT") {
-    auto w = std::make_unique<FtWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->iters = static_cast<int>(get_num(kv, "iters", w->iters));
-    w->wc_nlogn = get_num(kv, "wc_nlogn", w->wc_nlogn);
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_plogp = get_num(kv, "dwoc_plogp", w->dwoc_plogp);
-    w->dwoc_p = get_num(kv, "dwoc_p", w->dwoc_p);
-    w->dwom_plogp = get_num(kv, "dwom_plogp", w->dwom_plogp);
-    w->dwom_p = get_num(kv, "dwom_p", w->dwom_p);
-    return w;
-  }
-  if (name == "CG") {
-    auto w = std::make_unique<CgWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->outer = static_cast<int>(get_num(kv, "outer", w->outer));
-    w->inner = static_cast<int>(get_num(kv, "inner", w->inner));
-    w->nzr = get_num(kv, "nzr", w->nzr);
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_npm1 = get_num(kv, "dwoc_npm1", w->dwoc_npm1);
-    w->dwom_npm1 = get_num(kv, "dwom_npm1", w->dwom_npm1);
-    return w;
-  }
-  if (name == "MG") {
-    auto w = std::make_unique<MgWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->cycles = static_cast<int>(get_num(kv, "cycles", w->cycles));
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_p = get_num(kv, "dwoc_p", w->dwoc_p);
-    w->dwom_p = get_num(kv, "dwom_p", w->dwom_p);
-    w->msgs_p = get_num(kv, "msgs_p", w->msgs_p);
-    w->bytes_n23p = get_num(kv, "bytes_n23p", w->bytes_n23p);
-    w->duplex = get_num(kv, "duplex", w->duplex);
-    return w;
-  }
-  if (name == "IS") {
-    auto w = std::make_unique<IsWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->key_bytes = get_num(kv, "key_bytes", w->key_bytes);
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_plogp = get_num(kv, "dwoc_plogp", w->dwoc_plogp);
-    w->dwoc_p = get_num(kv, "dwoc_p", w->dwoc_p);
-    w->dwom_plogp = get_num(kv, "dwom_plogp", w->dwom_plogp);
-    w->dwom_p = get_num(kv, "dwom_p", w->dwom_p);
-    return w;
-  }
-  if (name == "SWEEP") {
-    auto w = std::make_unique<SweepWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->sweeps = static_cast<int>(get_num(kv, "sweeps", w->sweeps));
-    w->tile_w = static_cast<int>(get_num(kv, "tile_w", w->tile_w));
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->sec_per_cell = get_num(kv, "sec_per_cell", w->sec_per_cell);
-    w->msgs_pm1 = get_num(kv, "msgs_pm1", w->msgs_pm1);
-    w->bytes_pm1n = get_num(kv, "bytes_pm1n", w->bytes_pm1n);
-    return w;
-  }
-  if (name == "CKPT") {
-    auto w = std::make_unique<CkptWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->iterations = static_cast<int>(get_num(kv, "iterations", w->iterations));
-    w->ckpt_every = static_cast<int>(get_num(kv, "ckpt_every", w->ckpt_every));
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->io_p = get_num(kv, "io_p", w->io_p);
-    w->io_n = get_num(kv, "io_n", w->io_n);
-    return w;
-  }
-  return nullptr;
+  std::unique_ptr<WorkloadModel> w = make_workload(doc->workload_name);
+  if (w == nullptr || !read_fields(doc->workload, w->fields())) return nullptr;
+  return w;
 }
 
 bool save_calibration(const std::string& path, const MachineParams& machine,

@@ -14,6 +14,12 @@
 //
 // Exactly one [machine] section and at most one [workload <NAME>] section per
 // document (the CalibrationFile helpers bundle one of each).
+//
+// Both directions loop over the vector's `fields()` list (MachineParams in
+// params.hpp, each workload in workloads.hpp): a new coefficient needs only
+// one entry in that list, and a new workload type one more line in
+// make_workload. Every value must be one complete, finite number; absent
+// keys keep their defaults.
 #pragma once
 
 #include <memory>
@@ -28,11 +34,12 @@ namespace isoee::model {
 /// Serializes a machine vector as a [machine] section.
 std::string serialize(const MachineParams& machine);
 
-/// Parses a [machine] section; nullopt on malformed input.
+/// Parses a [machine] section; nullopt on malformed input, including a
+/// cpi, f_ghz or base_ghz <= 0.
 std::optional<MachineParams> parse_machine(const std::string& text);
 
 /// Serializes any of the built-in workload models ([workload <NAME>]).
-/// Throws std::invalid_argument for unknown model types.
+/// Throws std::invalid_argument for a model that lists no fields.
 std::string serialize(const WorkloadModel& workload);
 
 /// Parses a [workload ...] section into the matching model type; nullptr on

@@ -30,6 +30,13 @@ class WorkloadModel {
   virtual ~WorkloadModel() = default;
   virtual AppParams at(double n, int p) const = 0;
   virtual std::string name() const = 0;
+
+  /// Every coefficient, in calibration-text order (model/serialize.hpp). A
+  /// model that lists none, such as a wrapper around another, cannot be
+  /// serialized.
+  virtual Fields fields() { return {}; }
+  /// Read-only use: the codecs only get() through these.
+  Fields fields() const { return const_cast<WorkloadModel*>(this)->fields(); }
 };
 
 /// EP (embarrassingly parallel): n Marsaglia-polar trials, one final
@@ -57,6 +64,10 @@ struct EpWorkload final : WorkloadModel {
     a.M = v.messages;
     a.B = v.bytes;
     return a;
+  }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"wc_per_trial", wc_per_trial}, {"wm_per_trial", wm_per_trial},
+            {"dwoc_plogp", dwoc_plogp}, {"dwom_plogp", dwom_plogp}};
   }
   std::string name() const override { return "EP"; }
 };
@@ -95,6 +106,11 @@ struct FtWorkload final : WorkloadModel {
     a.M = v.messages;
     a.B = v.bytes;
     return a;
+  }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"iters", iters}, {"wc_nlogn", wc_nlogn}, {"wc_n", wc_n},
+            {"wm_n", wm_n}, {"dwoc_plogp", dwoc_plogp}, {"dwoc_p", dwoc_p},
+            {"dwom_plogp", dwom_plogp}, {"dwom_p", dwom_p}};
   }
   std::string name() const override { return "FT"; }
 };
@@ -138,6 +154,10 @@ struct CgWorkload final : WorkloadModel {
     a.M = v.messages;
     a.B = v.bytes;
     return a;
+  }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"outer", outer}, {"inner", inner}, {"nzr", nzr}, {"wc_n", wc_n},
+            {"wm_n", wm_n}, {"dwoc_npm1", dwoc_npm1}, {"dwom_npm1", dwom_npm1}};
   }
   std::string name() const override { return "CG"; }
 };
@@ -183,6 +203,11 @@ struct MgWorkload final : WorkloadModel {
     }
     return a;
   }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"cycles", cycles}, {"wc_n", wc_n}, {"wm_n", wm_n},
+            {"dwoc_p", dwoc_p}, {"dwom_p", dwom_p}, {"msgs_p", msgs_p},
+            {"bytes_n23p", bytes_n23p}, {"duplex", duplex}};
+  }
   std::string name() const override { return "MG"; }
 };
 
@@ -220,6 +245,11 @@ struct IsWorkload final : WorkloadModel {
     a.B = v.bytes;
     return a;
   }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"key_bytes", key_bytes}, {"wc_n", wc_n}, {"wm_n", wm_n},
+            {"dwoc_plogp", dwoc_plogp}, {"dwoc_p", dwoc_p}, {"dwom_plogp", dwom_plogp},
+            {"dwom_p", dwom_p}};
+  }
   std::string name() const override { return "IS"; }
 };
 
@@ -249,6 +279,10 @@ struct CkptWorkload final : WorkloadModel {
     a.M = v.messages;
     a.B = v.bytes;
     return a;
+  }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"iterations", iterations}, {"ckpt_every", ckpt_every},
+            {"wc_n", wc_n}, {"wm_n", wm_n}, {"io_p", io_p}, {"io_n", io_n}};
   }
   std::string name() const override { return "CKPT"; }
 };
@@ -291,7 +325,25 @@ struct SweepWorkload final : WorkloadModel {
     }
     return a;
   }
+  Fields fields() override {
+    return {{"alpha", alpha}, {"sweeps", sweeps}, {"tile_w", tile_w}, {"wc_n", wc_n},
+            {"wm_n", wm_n}, {"sec_per_cell", sec_per_cell}, {"msgs_pm1", msgs_pm1},
+            {"bytes_pm1n", bytes_pm1n}};
+  }
   std::string name() const override { return "SWEEP"; }
 };
+
+/// A default-coefficient model of the built-in workload `name` ("EP", "FT",
+/// "CG", "MG", "IS", "CKPT", "SWEEP"); nullptr for any other name.
+inline std::unique_ptr<WorkloadModel> make_workload(const std::string& name) {
+  if (name == "EP") return std::make_unique<EpWorkload>();
+  if (name == "FT") return std::make_unique<FtWorkload>();
+  if (name == "CG") return std::make_unique<CgWorkload>();
+  if (name == "MG") return std::make_unique<MgWorkload>();
+  if (name == "IS") return std::make_unique<IsWorkload>();
+  if (name == "CKPT") return std::make_unique<CkptWorkload>();
+  if (name == "SWEEP") return std::make_unique<SweepWorkload>();
+  return nullptr;
+}
 
 }  // namespace isoee::model

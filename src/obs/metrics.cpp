@@ -162,16 +162,14 @@ bool MetricsRegistry::write_csv(const std::string& path) const {
 }
 
 std::string MetricsRegistry::render_json() const {
-  std::string body = "{\n";
+  std::string out = "{";
   const auto snap = snapshot();
   for (std::size_t i = 0; i < snap.size(); ++i) {
-    body += "  \"" + json_escape(snap[i].name) + "\": {\"kind\": \"" + snap[i].kind +
-            "\", \"value\": " + snap[i].value + "}";
-    if (i + 1 < snap.size()) body += ',';
-    body += '\n';
+    if (i != 0) out += ',';
+    out += "\"" + json_escape(snap[i].name) + "\":{\"kind\":\"" + snap[i].kind +
+           "\",\"value\":" + snap[i].value + "}";
   }
-  body += "}\n";
-  return body;
+  return out + "}";
 }
 
 namespace {
@@ -191,7 +189,7 @@ bool write_text_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_text_file(path, render_json());
+  return write_text_file(path, render_json() + "\n");
 }
 
 std::string MetricsRegistry::render_prometheus() const {

@@ -119,11 +119,12 @@ class MetricsRegistry {
 
   /// Writes the snapshot as CSV (name,kind,value). Returns false on I/O error.
   bool write_csv(const std::string& path) const;
-  /// Writes the snapshot as a JSON object keyed by metric name.
-  bool write_json(const std::string& path) const;
-  /// The same JSON object as write_json, returned as a string (used by the
-  /// service `metrics` endpoint).
+  /// The snapshot as one line of JSON, an object keyed by metric name:
+  /// {"<name>":{"kind":"counter","value":1},...}. The service's `metrics`
+  /// method answers with it.
   std::string render_json() const;
+  /// Writes render_json() and a newline to `path`. Returns false on I/O error.
+  bool write_json(const std::string& path) const;
   /// Prometheus text exposition format: metric names sanitized to
   /// [a-zA-Z0-9_:] ('.' becomes '_'), `# TYPE` comment per family, histogram
   /// bucket lines `<name>_bucket{le="<bound>"}`, terminated by `# EOF`.

@@ -435,19 +435,7 @@ std::string Service::handle_install(const Request& req) {
          "\",\"installed\":true}";
 }
 
-std::string Service::handle_metrics() {
-  // One compact JSON object per the line-protocol contract: responses are
-  // single lines, so this re-renders the snapshot without the pretty-printed
-  // newlines write_json uses.
-  std::string out = "{";
-  const auto snap = obs::metrics().snapshot();
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "\"" + obs::json_escape(snap[i].name) + "\":{\"kind\":\"" + snap[i].kind +
-           "\",\"value\":" + snap[i].value + "}";
-  }
-  return out + "}";
-}
+std::string Service::handle_metrics() { return obs::metrics().render_json(); }
 
 std::string Service::handle_stats() {
   const ServiceMetrics& m = ServiceMetrics::get();

@@ -11,6 +11,8 @@
 #include "analysis/study.hpp"
 #include "analysis/surface.hpp"
 #include "analysis/workload_fit.hpp"
+#include "benchtools/calibrate.hpp"
+#include "model/serialize.hpp"
 #include "npb/classes.hpp"
 
 namespace {
@@ -286,6 +288,40 @@ TEST(Adapters, NamesAndFingerprintsArePinned) {
     EXPECT_EQ(c.adapter->fingerprint(), c.fingerprint) << c.name;
     EXPECT_EQ(c.adapter->default_n(), c.default_n) << c.name;
   }
+}
+
+// Cache payloads are read back by later runs, so their bytes are pinned like
+// the keys above: a reordered or dropped field would make a populated cache
+// decode into the wrong vector.
+TEST(StudyPayloads, MachineParamsAndCounterSampleBytesPinned) {
+  const sim::MachineSpec machine = sim::system_g();
+  const analysis::Plan<model::MachineParams> mplan = analysis::machine_plan(machine, false);
+  ASSERT_EQ(mplan.cases.size(), 1u);
+  const std::string mpayload = mplan.cases[0].run();
+  EXPECT_EQ(mpayload,
+            "SystemG\x1f"
+            "3fe199999999999a 4006666666666666 4006666666666666 3e75798ee2308c3a "
+            "3ec4f8b588e368f1 3deb7cdfd9d7bdbb 403d000000000000 4028000000000000 "
+            "4014000000000000 0000000000000000 4000000000000000 0000000000000000 "
+            "0000000000000000");
+
+  const model::MachineParams nominal = tools::nominal_machine_params(machine);
+  const double ns[] = {4096.0};
+  const int ps[] = {1};
+  const analysis::Plan<analysis::Calibration> cplan =
+      analysis::calibration_plan(machine, analysis::make_ep_adapter(), ns, ps, &nominal);
+  ASSERT_EQ(cplan.cases.size(), 1u);
+  EXPECT_EQ(cplan.cases[0].run(),
+            "40b0000000000000 3ff0000000000000 41076a0000000000 4050000000000000 "
+            "3e8b7cdfd9d7bdbb 0000000000000000 3f03cbdbe2fbe4a7 0000000000000000 "
+            "0000000000000000 3fefe56d3c5cc49e");
+
+  // The fold decodes the machine payload back to the same vector, bit for bit.
+  exec::CaseResult result;
+  result.payload = mpayload;
+  const model::MachineParams decoded = mplan.fold(std::span(&result, 1));
+  EXPECT_EQ(decoded.name, nominal.name);
+  EXPECT_EQ(model::serialize(decoded), model::serialize(nominal));
 }
 
 TEST(Adapters, MakeAdapterResolvesEveryAppByName) {

@@ -750,6 +750,37 @@ std::string stats_health(Service& svc) {
 
 }  // namespace
 
+// A malformed machine vector must not install: a bare strtod read "banana" as
+// 0, and zero frequencies made the next calibrated predict answer inf/nan,
+// which is not JSON.
+TEST(Install, RejectsMalformedNumbersAndZeroFrequencies) {
+  const std::string nominal = model::serialize(tools::nominal_machine_params(sim::system_g()));
+  const std::string workload = model::serialize(model::EpWorkload());
+  // The nominal text with each (key, value) edit applied.
+  const auto with = [&](std::initializer_list<std::pair<std::string, std::string>> edits) {
+    std::string text = nominal;
+    for (const auto& [key, value] : edits) {
+      const std::size_t at = text.find("\n" + key + " = ") + 1;
+      text.replace(at, text.find('\n', at) - at, key + " = " + value);
+    }
+    return text;
+  };
+  const std::string predict =
+      R"({"method":"predict","params":{"machine":"system_g","app":"EP","n":1e6,"p":4,"calibrated":true}})";
+  for (const std::string& machine_text :
+       {with({{"cpi", "banana"}}), with({{"base_ghz", "0"}, {"f_ghz", "0"}})}) {
+    Service svc{ServiceConfig{}};
+    const std::string install = svc.handle_line(install_line(machine_text, workload));
+    const std::string answer = svc.handle_line(predict);
+    EXPECT_EQ(error_code_of(parse_response(install)), "invalid_params") << machine_text;
+    EXPECT_EQ(error_code_of(parse_response(answer)), "not_calibrated") << machine_text;
+    for (const std::string& line : {install, answer}) {
+      EXPECT_EQ(line.find("inf"), std::string::npos) << line;
+      EXPECT_EQ(line.find("nan"), std::string::npos) << line;
+    }
+  }
+}
+
 TEST(Drift, PerturbedInstallTripsWatchdogCleanInstallStaysGreen) {
   obs::drift().reset();
   ServiceConfig config;
