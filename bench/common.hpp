@@ -22,11 +22,14 @@
 //                    cached results and executes zero simulations
 //   --trace-out=F    install a process-global obs collector and write the
 //                    run's Chrome trace (virtual time) to F at exit
-//   --metrics-out=F  write the obs metrics snapshot to F at exit (.json or
-//                    .csv, chosen by extension)
+//   --metrics-out=F  write the obs metrics snapshot to F at exit, as the
+//                    one-line JSON object MetricsRegistry::render_json gives
 //   --flame-out=F    sample the fiber scheduler's host time (SchedProfiler)
 //                    and write collapsed stacks to F at exit; inspect with
 //                    `trace_stats --flame` or flamegraph.pl
+//
+// obs::record_run_artifacts writes the three artifacts, with a one-line
+// notice for each on stderr.
 //
 // The log level honours the ISOEE_LOG environment variable ("trace" ...
 // "off"); bench::init applies it before any subsystem can log.
@@ -40,8 +43,7 @@
 
 #include "analysis/surface.hpp"
 #include "exec/executor.hpp"
-#include "obs/obs.hpp"
-#include "obs/sched_profiler.hpp"
+#include "obs/artifacts.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
 #include "util/cli.hpp"
@@ -67,57 +69,6 @@ inline exec::ExecConfig& exec_cfg() {
   static exec::ExecConfig cfg;
   return cfg;
 }
-inline obs::TraceCollector& trace_collector() {
-  static obs::TraceCollector collector;
-  return collector;
-}
-inline std::string& trace_out() {
-  static std::string path;
-  return path;
-}
-inline std::string& metrics_out() {
-  static std::string path;
-  return path;
-}
-inline std::string& flame_out() {
-  static std::string path;
-  return path;
-}
-
-/// atexit hook: flush the --trace-out / --metrics-out artifacts once the
-/// bench main returns (covers std::exit paths in emit() too).
-inline void write_observability_artifacts() {
-  if (!trace_out().empty()) {
-    obs::set_global_sink(nullptr);
-    const auto events = trace_collector().sorted();
-    if (obs::ChromeTraceWriter::write(events, trace_out(),
-                                      {{"source", "isoee-bench"}})) {
-      std::printf("[trace] %s (%zu events)\n", trace_out().c_str(), events.size());
-    } else {
-      ISOEE_ERROR("failed to write --trace-out %s", trace_out().c_str());
-    }
-  }
-  if (!metrics_out().empty()) {
-    const std::string& path = metrics_out();
-    const bool is_json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-    const bool ok = is_json ? obs::metrics().write_json(path)
-                            : obs::metrics().write_csv(path);
-    if (ok) {
-      std::printf("[metrics] %s\n", path.c_str());
-    } else {
-      ISOEE_ERROR("failed to write --metrics-out %s", path.c_str());
-    }
-  }
-  if (!flame_out().empty()) {
-    obs::sched_profiler().stop();
-    if (obs::sched_profiler().write_collapsed(flame_out())) {
-      std::printf("[flame] %s (%llu samples)\n", flame_out().c_str(),
-                  static_cast<unsigned long long>(obs::sched_profiler().total_samples()));
-    } else {
-      ISOEE_ERROR("failed to write --flame-out %s", flame_out().c_str());
-    }
-  }
-}
 }  // namespace detail
 
 /// Parses the shared bench flags. Returns false (after printing usage) on
@@ -141,7 +92,7 @@ inline bool init(int argc, const char* const* argv) {
       .flag("cache-dir", "", "result-cache directory (empty = caching off)")
       .flag("cache-max-mb", "0", "result-cache size cap in MiB, oldest entries pruned (0 = unbounded)")
       .flag("trace-out", "", "write a Chrome trace of the run to this file")
-      .flag("metrics-out", "", "write the metrics snapshot to this .json/.csv file")
+      .flag("metrics-out", "", "write the metrics snapshot (JSON) to this file")
       .flag("flame-out", "",
             "sample the fiber scheduler's host time and write collapsed stacks "
             "(flamegraph.pl format) to this file")
@@ -158,21 +109,13 @@ inline bool init(int argc, const char* const* argv) {
   detail::exec_cfg().cache_dir = cli.get("cache-dir");
   detail::exec_cfg().cache_max_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
-  detail::trace_out() = cli.get("trace-out");
-  detail::metrics_out() = cli.get("metrics-out");
-  detail::flame_out() = cli.get("flame-out");
-  if (!detail::trace_out().empty()) {
-    obs::set_global_sink(&detail::trace_collector());
-  }
-  if (!detail::flame_out().empty()) {
-    obs::SchedProfiler::Options prof;
-    prof.interval_us = static_cast<std::uint64_t>(cli.get_int("flame-interval-us"));
-    obs::sched_profiler().start(prof);
-  }
-  if (!detail::trace_out().empty() || !detail::metrics_out().empty() ||
-      !detail::flame_out().empty()) {
-    std::atexit(detail::write_observability_artifacts);
-  }
+  obs::ArtifactPaths artifacts;
+  artifacts.trace = cli.get("trace-out");
+  artifacts.metrics = cli.get("metrics-out");
+  artifacts.flame = cli.get("flame-out");
+  artifacts.flame_interval_us =
+      static_cast<std::uint64_t>(cli.get_int("flame-interval-us"));
+  obs::record_run_artifacts(artifacts, "isoee-bench");
 
   std::error_code ec;
   std::filesystem::create_directories(detail::csv_dir(), ec);

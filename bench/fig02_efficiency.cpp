@@ -8,7 +8,7 @@
 // Expected shape: FT scales reasonably well; CG's efficiency falls faster
 // (its allgather overhead grows with p). Both energy-efficiency curves sit
 // below the performance curves.
-#include "analysis/runner.hpp"
+#include "analysis/study.hpp"
 #include "bench/common.hpp"
 #include "npb/classes.hpp"
 
@@ -16,9 +16,9 @@ using namespace isoee;
 
 namespace {
 
-template <typename Config, typename Runner>
-void efficiency_sweep(const sim::MachineSpec& machine, const std::string& name,
-                      const Config& config, Runner runner) {
+void efficiency_sweep(const sim::MachineSpec& machine,
+                      const analysis::BenchmarkAdapter& adapter) {
+  const std::string name = adapter.name();
   bench::heading("Fig 2: " + name + " performance & energy efficiency vs CPUs",
                  name == "FT" ? "Fig 2a — FT scales reasonably well"
                               : "Fig 2b — CG efficiency drops off faster");
@@ -26,7 +26,8 @@ void efficiency_sweep(const sim::MachineSpec& machine, const std::string& name,
   double t1 = 0.0, e1 = 0.0;
   util::Table table({"p", "time_s", "energy_J", "perf_efficiency", "energy_efficiency"});
   for (int p : ps) {
-    const sim::RunResult run = runner(machine, config, p);
+    const sim::RunResult run =
+        adapter.run(machine, adapter.default_n(), p, analysis::RunOptions(), nullptr);
     if (p == 1) {
       t1 = run.makespan;
       e1 = run.total_energy_j();
@@ -45,13 +46,8 @@ int main(int argc, char** argv) {
   if (!bench::init(argc, argv)) return 1;
   const auto machine = bench::with_noise(sim::system_g());
 
-  efficiency_sweep(machine, "FT", npb::ft_class(npb::ProblemClass::A),
-                   [](const sim::MachineSpec& m, const npb::FtConfig& c, int p) {
-                     return analysis::run(m, c, p);
-                   });
-  efficiency_sweep(machine, "CG", npb::cg_class(npb::ProblemClass::A),
-                   [](const sim::MachineSpec& m, const npb::CgConfig& c, int p) {
-                     return analysis::run(m, c, p);
-                   });
+  using npb::ProblemClass;
+  efficiency_sweep(machine, *analysis::make_ft_adapter(npb::ft_class(ProblemClass::A)));
+  efficiency_sweep(machine, *analysis::make_cg_adapter(npb::cg_class(ProblemClass::A)));
   return 0;
 }

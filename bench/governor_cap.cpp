@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "analysis/policy.hpp"
-#include "analysis/runner.hpp"
 #include "analysis/study.hpp"
 #include "bench/common.hpp"
 #include "governor/governor.hpp"
@@ -80,10 +79,13 @@ int main(int argc, char** argv) {
   struct App {
     const char* name;
     std::unique_ptr<analysis::EnergyStudy> study;
-    std::function<sim::RunResult(const analysis::RunOptions&)> run;
     double n;
   };
   std::vector<App> apps;
+  // One run of the app at its class size on the p-rank partition.
+  const auto run_app = [&](const App& app, const analysis::RunOptions& options) {
+    return app.study->adapter().run(machine, app.n, p, options, nullptr);
+  };
 
   {
     auto config = npb::ft_class(npb::ProblemClass::A);
@@ -93,11 +95,7 @@ int main(int argc, char** argv) {
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
     const double n = study->adapter().default_n();
-    apps.push_back(App{"FT", std::move(study),
-                       [machine, config, p](const analysis::RunOptions& o) {
-                         return analysis::run(machine, config, p, o);
-                       },
-                       n});
+    apps.push_back(App{"FT", std::move(study), n});
   }
   {
     auto config = npb::cg_class(npb::ProblemClass::A);
@@ -107,11 +105,7 @@ int main(int argc, char** argv) {
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
     const double n = study->adapter().default_n();
-    apps.push_back(App{"CG", std::move(study),
-                       [machine, config, p](const analysis::RunOptions& o) {
-                         return analysis::run(machine, config, p, o);
-                       },
-                       n});
+    apps.push_back(App{"CG", std::move(study), n});
   }
 
   util::Table table({"app", "cap_W", "mode", "gear", "viol_frac", "energy_J", "time_s",
@@ -122,7 +116,7 @@ int main(int argc, char** argv) {
     // Open-loop baseline at top gear; its average power anchors the cap sweep.
     analysis::RunOptions base_opts;
     base_opts.record_trace = true;
-    const auto fixed_run = app.run(base_opts);
+    const auto fixed_run = run_app(app, base_opts);
     const double base_w = fixed_run.total_energy_j() / fixed_run.makespan;
     const double e1_j = app.study->predict(app.n, 1, top_gear).E1;
 
@@ -132,7 +126,7 @@ int main(int argc, char** argv) {
     analysis::RunOptions low_opts;
     low_opts.f_ghz = gears.back();
     const double low_w = [&] {
-      const auto r = app.run(low_opts);
+      const auto r = run_app(app, low_opts);
       return r.total_energy_j() / r.makespan;
     }();
     std::vector<double> caps;
@@ -157,7 +151,7 @@ int main(int argc, char** argv) {
       analysis::RunOptions gov_opts;
       gov_opts.record_trace = true;
       gov_opts.governor = &gov;
-      const auto gov_run = app.run(gov_opts);
+      const auto gov_run = run_app(app, gov_opts);
       const auto gov_m = metrics_of(gov_run, profiler, cap);
       if (ci + 1 == caps.size()) {  // export the trace for the tightest cap
         const std::string path = std::string(bench::out_dir()) + "/governor_cap_trace_" +
@@ -173,7 +167,7 @@ int main(int argc, char** argv) {
       analysis::RunOptions oracle_opts;
       oracle_opts.record_trace = true;
       oracle_opts.f_ghz = choice.f_ghz;
-      const auto oracle_run = app.run(oracle_opts);
+      const auto oracle_run = run_app(app, oracle_opts);
       const auto oracle_m = metrics_of(oracle_run, profiler, cap);
 
       auto add = [&](const char* mode, const std::string& gear, const RunMetrics& m) {
@@ -216,7 +210,7 @@ int main(int argc, char** argv) {
     governor::Governor gov(machine, gspec, governor::make_ee_target_policy(ee_cfg));
     analysis::RunOptions opts;
     opts.governor = &gov;
-    const auto run = app.run(opts);
+    const auto run = run_app(app, opts);
     const double e1_j = app.study->predict(app.n, 1, top_gear).E1;
     // The gear the policy settled on outside communication phases.
     double gear_chosen = top_gear;

@@ -54,7 +54,7 @@
 
 #include "exec/codec.hpp"
 #include "exec/executor.hpp"
-#include "obs/obs.hpp"
+#include "obs/artifacts.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
@@ -316,9 +316,13 @@ int main(int argc, char** argv) {
       .flag("csv-dir", "bench_out", "directory for the latency and digest CSVs")
       .flag("verify", "false", "assert coalescing + warm-cache invariants; exit 1 on failure")
       .flag("assert-p99-ms", "0", "fail if model-tier p99 exceeds this many ms (0 = off)")
-      .flag("metrics-out", "", "write the metrics snapshot to this .json/.csv file")
+      .flag("metrics-out", "", "write the metrics snapshot (JSON) to this file")
       .flag("prom-out", "", "write a Prometheus text exposition snapshot to this file");
   if (!cli.parse(argc, argv)) return 1;
+  obs::ArtifactPaths artifacts;
+  artifacts.metrics = cli.get("metrics-out");
+  artifacts.prometheus = cli.get("prom-out");
+  obs::record_run_artifacts(artifacts, "isoee-bench");
 
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const int requests = static_cast<int>(cli.get_int("requests"));
@@ -588,14 +592,5 @@ int main(int argc, char** argv) {
     rc = fail(e.what());
   }
 
-  if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-    const bool is_json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-    const bool ok =
-        is_json ? obs::metrics().write_json(path) : obs::metrics().write_csv(path);
-    if (ok) std::printf("[metrics] %s\n", path.c_str());
-  }
-  if (const std::string path = cli.get("prom-out"); !path.empty()) {
-    if (obs::metrics().write_prometheus(path)) std::printf("[prom] %s\n", path.c_str());
-  }
   return rc;
 }

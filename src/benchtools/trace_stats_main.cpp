@@ -7,7 +7,7 @@
 //   trace_stats run.json --csv out/prefix    also write report tables as CSV
 //   trace_stats run.json --metrics m.json    also report the engine.*/sim.*
 //                                            counters from a --metrics-out
-//                                            snapshot (.json or .csv)
+//                                            snapshot (one JSON object)
 //   trace_stats --metrics m.json             report the snapshot alone
 //
 // Energy attribution joins every span against the per-rank segment timeline
@@ -77,44 +77,33 @@ void print_report(const std::string& path, const TraceReport& report) {
   }
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 /// Reports a MetricsRegistry snapshot (bench --metrics-out), engine.* rows
 /// first — the engine throughput counters the rearchitecture added
 /// (ranks_simulated, events_processed, rank_seconds_per_sec) are the headline
-/// numbers this view exists for. Parses both snapshot formats: .csv rows of
-/// `name,kind,value` and the one-line .json object write_json emits.
+/// numbers this view exists for. The file is the one-line JSON object
+/// MetricsRegistry::write_json emits.
 void print_metrics_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open --metrics file " + path);
   struct Entry {
     std::string name, kind, value;
   };
   std::vector<Entry> entries;
-  const bool json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-  if (json) {
-    std::stringstream text;
-    text << in.rdbuf();
-    // {"<name>":{"kind":"counter","value":123},...}; values print as %.17g,
-    // which gives back the registry's own text for both counters and gauges.
-    for (const auto& [name, row] : isoee::util::parse_json(text.str()).object) {
-      const auto* kind = row.find("kind");
-      const auto* value = row.find("value");
-      if (kind == nullptr || value == nullptr) continue;
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", value->number);
-      entries.push_back({name, kind->str, buf});
-    }
-  } else {
-    std::string line;
-    while (std::getline(in, line)) {
-      Entry e;
-      std::istringstream fields(line);
-      if (!std::getline(fields, e.name, ',') || !std::getline(fields, e.kind, ',') ||
-          !std::getline(fields, e.value)) {
-        continue;
-      }
-      if (e.name == "name") continue;  // CSV header
-      if (!e.name.empty()) entries.push_back(std::move(e));
-    }
+  // {"<name>":{"kind":"counter","value":123},...}; values print as %.17g,
+  // which gives back the registry's own text for both counters and gauges.
+  for (const auto& [name, row] : isoee::util::parse_json(read_file(path)).object) {
+    const auto* kind = row.find("kind");
+    const auto* value = row.find("value");
+    if (kind == nullptr || value == nullptr) continue;
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", value->number);
+    entries.push_back({name, kind->str, buf});
   }
   isoee::util::Table table({"metric", "kind", "value"});
   for (const auto& e : entries) {  // engine.* first: the throughput headline
@@ -124,14 +113,6 @@ void print_metrics_file(const std::string& path) {
     if (e.name.rfind("engine.", 0) != 0) table.add_row({e.name, e.kind, e.value});
   }
   std::printf("\nmetrics snapshot (%s)\n%s", path.c_str(), table.to_string().c_str());
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 /// --flame: report (or, with --validate, just check) collapsed-stack files
@@ -212,11 +193,11 @@ int main(int argc, char** argv) {
   isoee::util::Cli cli(
       "trace_stats: report / validate / diff obs trace.json files.\n"
       "usage: trace_stats <trace.json> [<other.json>] [flags]\n"
-      "       trace_stats --metrics <snapshot.json|.csv>");
+      "       trace_stats --metrics <snapshot.json>");
   cli.flag("machine", "auto", "power model: system_g | dori | auto (trace metadata)")
       .flag("validate", "false", "structural validation only; exit 1 when invalid")
       .flag("csv", "", "also write report tables under this path prefix")
-      .flag("metrics", "", "also report a --metrics-out snapshot (engine.* first)")
+      .flag("metrics", "", "also report a --metrics-out JSON snapshot (engine.* first)")
       .flag("flame", "false",
             "positionals are collapsed-stack .folded files from the scheduler "
             "profiler; report (or --validate) them");

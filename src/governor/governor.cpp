@@ -139,7 +139,7 @@ void Governor::decide(sim::RankCtx& ctx, RankState& st, double t, bool forced) {
   }
 
   if (!spec_.trace) return;
-  if (!changed && !forced && !spec_.trace_holds) return;
+  if (!changed && !forced) return;
   DecisionRecord rec;
   rec.t = t;
   rec.rank = obs.rank;

@@ -46,7 +46,6 @@ struct GovernorSpec {
   double decision_interval_s = 0.001; // min virtual time between periodic decisions
   double cap_w = 0.0;                 // cluster cap surfaced in Observations
   bool trace = true;                  // collect the decision trace
-  bool trace_holds = false;           // also trace decisions that change nothing
 };
 
 /// Classifies a phase-marker name: names containing a collective/transport

@@ -1,5 +1,6 @@
 #include "model/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -77,13 +78,15 @@ std::string write_fields(std::string out, const Fields& fields) {
 }
 
 /// Sets every field whose key is present; absent keys keep their defaults.
-/// False when a present value is not a number the field can hold.
+/// False when a key names no field (a typo would otherwise keep the default)
+/// or a value is not a number the field can hold.
 bool read_fields(const std::map<std::string, std::string>& kv, const Fields& fields) {
-  for (const Field& f : fields) {
-    const auto it = kv.find(f.key);
-    if (it == kv.end()) continue;
-    const std::optional<double> v = parse_number(it->second);
-    if (!v || !f.set(*v)) return false;
+  for (const auto& [key, text] : kv) {
+    const auto f = std::find_if(fields.begin(), fields.end(),
+                                [&](const Field& field) { return key == field.key; });
+    if (f == fields.end()) return false;
+    const std::optional<double> v = parse_number(text);
+    if (!v || !f->set(*v)) return false;
   }
   return true;
 }
@@ -95,10 +98,10 @@ std::string serialize(const MachineParams& m) {
 }
 
 std::optional<MachineParams> parse_machine(const std::string& text) {
-  const auto doc = parse_document(text);
+  auto doc = parse_document(text);
   if (!doc || doc->machine_header.empty()) return std::nullopt;
   MachineParams m;
-  if (const auto it = doc->machine.find("name"); it != doc->machine.end()) m.name = it->second;
+  if (auto name = doc->machine.extract("name")) m.name = name.mapped();
   if (!read_fields(doc->machine, m.fields()) || !m.well_defined()) return std::nullopt;
   return m;
 }

@@ -18,7 +18,8 @@
 // Both directions loop over the vector's `fields()` list (MachineParams in
 // params.hpp, each workload in workloads.hpp): a new coefficient needs only
 // one entry in that list, and a new workload type one more line in
-// make_workload. Every value must be one complete, finite number; absent
+// make_workload. Every key must name a field of its section ([machine] also
+// takes `name`) and every value must be one complete, finite number; absent
 // keys keep their defaults.
 #pragma once
 
@@ -34,8 +35,8 @@ namespace isoee::model {
 /// Serializes a machine vector as a [machine] section.
 std::string serialize(const MachineParams& machine);
 
-/// Parses a [machine] section; nullopt on malformed input, including a
-/// cpi, f_ghz or base_ghz <= 0.
+/// Parses a [machine] section; nullopt on malformed input, including an
+/// unknown key and a cpi, f_ghz or base_ghz <= 0.
 std::optional<MachineParams> parse_machine(const std::string& text);
 
 /// Serializes any of the built-in workload models ([workload <NAME>]).
@@ -43,7 +44,7 @@ std::optional<MachineParams> parse_machine(const std::string& text);
 std::string serialize(const WorkloadModel& workload);
 
 /// Parses a [workload ...] section into the matching model type; nullptr on
-/// malformed input or unknown workload name.
+/// malformed input, an unknown key or an unknown workload name.
 std::unique_ptr<WorkloadModel> parse_workload(const std::string& text);
 
 /// A bundled calibration: machine vector + fitted workload.

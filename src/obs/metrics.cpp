@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/log.hpp"
-#include "util/table.hpp"
 
 namespace isoee::obs {
 
@@ -155,12 +153,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return out;
 }
 
-bool MetricsRegistry::write_csv(const std::string& path) const {
-  util::Table table({"name", "kind", "value"});
-  for (const auto& s : snapshot()) table.add_row({s.name, s.kind, s.value});
-  return table.write_csv(path);
-}
-
 std::string MetricsRegistry::render_json() const {
   std::string out = "{";
   const auto snap = snapshot();
@@ -171,22 +163,6 @@ std::string MetricsRegistry::render_json() const {
   }
   return out + "}";
 }
-
-namespace {
-
-bool write_text_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    ISOEE_ERROR("MetricsRegistry: cannot open %s", path.c_str());
-    return false;
-  }
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) ISOEE_ERROR("MetricsRegistry: short write to %s", path.c_str());
-  return ok;
-}
-
-}  // namespace
 
 bool MetricsRegistry::write_json(const std::string& path) const {
   return write_text_file(path, render_json() + "\n");

@@ -1,5 +1,5 @@
 // Process-wide metrics registry: named counters, gauges, and fixed-bound
-// histograms, snapshotted deterministically to CSV/JSON.
+// histograms, snapshotted deterministically to JSON and Prometheus text.
 //
 // This absorbs the ad-hoc counters that used to live in each subsystem
 // (engine run counts, smpi tag-allocator stats, exec batch stats, result-cache
@@ -117,8 +117,6 @@ class MetricsRegistry {
   /// All metrics sorted by (kind-independent) name — deterministic.
   std::vector<MetricSample> snapshot() const;
 
-  /// Writes the snapshot as CSV (name,kind,value). Returns false on I/O error.
-  bool write_csv(const std::string& path) const;
   /// The snapshot as one line of JSON, an object keyed by metric name:
   /// {"<name>":{"kind":"counter","value":1},...}. The service's `metrics`
   /// method answers with it.

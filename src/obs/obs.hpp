@@ -9,8 +9,8 @@
 // Two installation scopes:
 //   * per-engine: sim::EngineOptions::trace_sink (deterministic per-case
 //     traces; what the executor-driven tests use)
-//   * process-global: set_global_sink() (what bench --trace-out uses); the
-//     per-engine sink wins when both are set.
+//   * process-global: set_global_sink() (what record_run_artifacts installs
+//     for --trace-out); the per-engine sink wins when both are set.
 #pragma once
 
 #include <atomic>

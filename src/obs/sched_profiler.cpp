@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace isoee::obs {
@@ -206,16 +207,7 @@ std::string SchedProfiler::collapsed(int top_ranks) const {
 }
 
 bool SchedProfiler::write_collapsed(const std::string& path, int top_ranks) const {
-  const std::string body = collapsed(top_ranks);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    ISOEE_ERROR("SchedProfiler: cannot open %s", path.c_str());
-    return false;
-  }
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) ISOEE_ERROR("SchedProfiler: short write to %s", path.c_str());
-  return ok;
+  return write_text_file(path, collapsed(top_ranks));
 }
 
 void SchedProfiler::reset() {

@@ -172,18 +172,21 @@ std::string ChromeTraceWriter::render(
 bool ChromeTraceWriter::write(
     std::span<const TraceEvent> sorted, const std::string& path,
     const std::vector<std::pair<std::string, std::string>>& metadata) {
-  const std::string body = render(sorted, metadata);
+  return write_text_file(path, render(sorted, metadata));
+}
+
+bool write_text_file(const std::string& path, std::string_view body) {
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
-    ISOEE_ERROR("ChromeTraceWriter: cannot open %s", path.c_str());
+    ISOEE_ERROR("obs: cannot open %s", path.c_str());
     return false;
   }
   const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
   const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) ISOEE_ERROR("ChromeTraceWriter: short write to %s", path.c_str());
+  if (!ok) ISOEE_ERROR("obs: short write to %s", path.c_str());
   return ok;
 }
 

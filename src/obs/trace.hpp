@@ -110,4 +110,8 @@ class ChromeTraceWriter {
 /// JSON string escaping shared by the writer and the metrics JSON snapshot.
 std::string json_escape(std::string_view s);
 
+/// Writes `body` to `path` (parent dirs created): the one file write behind
+/// every obs artifact. Returns false (and logs) on I/O failure.
+bool write_text_file(const std::string& path, std::string_view body);
+
 }  // namespace isoee::obs

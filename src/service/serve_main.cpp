@@ -12,7 +12,7 @@
 #include <iostream>
 #include <string>
 
-#include "obs/obs.hpp"
+#include "obs/artifacts.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       .flag("cache-max-mb", "0",
             "result-cache size cap in MiB, oldest entries pruned (0 = unbounded)")
       .flag("trace-out", "", "write a Chrome trace of request spans to this file at exit")
-      .flag("metrics-out", "", "write the metrics snapshot to this .json/.csv file at exit")
+      .flag("metrics-out", "", "write the metrics snapshot (JSON) to this file at exit")
       .flag("prom-out", "", "write a Prometheus text exposition snapshot to this file at exit")
       .flag("slow-ms", "0",
             "log (ISOEE_LOG=warn) requests slower than this many milliseconds (0 = off)");
@@ -49,9 +49,11 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
   config.slow_request_s = static_cast<double>(cli.get_int("slow-ms")) * 1e-3;
 
-  obs::TraceCollector collector;
-  const std::string trace_out = cli.get("trace-out");
-  if (!trace_out.empty()) obs::set_global_sink(&collector);
+  obs::ArtifactPaths artifacts;
+  artifacts.trace = cli.get("trace-out");
+  artifacts.metrics = cli.get("metrics-out");
+  artifacts.prometheus = cli.get("prom-out");
+  obs::record_run_artifacts(artifacts, "isoee-serve");
 
   service::Service service(config);
   std::size_t handled = 0;
@@ -70,24 +72,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!trace_out.empty()) {
-    obs::set_global_sink(nullptr);
-    const auto events = collector.sorted();
-    if (obs::ChromeTraceWriter::write(events, trace_out, {{"source", "isoee-serve"}})) {
-      std::fprintf(stderr, "[trace] %s (%zu events)\n", trace_out.c_str(), events.size());
-    }
-  }
-  if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-    const bool is_json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-    const bool ok =
-        is_json ? obs::metrics().write_json(path) : obs::metrics().write_csv(path);
-    if (ok) std::fprintf(stderr, "[metrics] %s\n", path.c_str());
-  }
-  if (const std::string path = cli.get("prom-out"); !path.empty()) {
-    if (obs::metrics().write_prometheus(path)) {
-      std::fprintf(stderr, "[prom] %s\n", path.c_str());
-    }
-  }
   std::fprintf(stderr, "isoee_serve: done (%zu stdin requests)\n", handled);
   return 0;
 }

@@ -421,6 +421,10 @@ std::string Service::handle_install(const Request& req) {
   if (!mp) fail(ErrorCode::kInvalidParams, "param 'machine_params' is not parsable");
   std::unique_ptr<model::WorkloadModel> workload = model::parse_workload(req.workload);
   if (workload == nullptr) fail(ErrorCode::kInvalidParams, "param 'workload' is not parsable");
+  if (workload->name() != req.app) {
+    fail(ErrorCode::kInvalidParams,
+         "param 'workload' is a " + workload->name() + " model, not " + req.app);
+  }
 
   Calibration cal;
   cal.machine = *mp;

@@ -135,18 +135,14 @@ TEST(Metrics, SnapshotIsSortedAndSerializes) {
     EXPECT_LT(snap[i - 1].name, snap[i].name);
   }
 
-  const std::string csv_path = temp_path("obs_metrics_test.csv");
   const std::string json_path = temp_path("obs_metrics_test.json");
-  ASSERT_TRUE(reg.write_csv(csv_path));
   ASSERT_TRUE(reg.write_json(json_path));
-  EXPECT_NE(slurp(csv_path).find("a.first"), std::string::npos);
   // The JSON snapshot parses with the util JSON parser.
   const auto doc = util::parse_json(slurp(json_path));
   ASSERT_TRUE(doc.is(util::JsonValue::Type::kObject));
   const auto* first = doc.find("a.first");
   ASSERT_NE(first, nullptr);
   EXPECT_DOUBLE_EQ(first->find("value")->number, 1.0);
-  std::remove(csv_path.c_str());
   std::remove(json_path.c_str());
 }
 
@@ -172,10 +168,10 @@ TEST(Metrics, EngineRunsFeedTheGlobalRegistry) {
 }
 
 TEST(Metrics, SnapshotSchemaIsStable) {
-  // The snapshot row schema is load-bearing: bench CSV diffs, the service's
-  // `metrics` endpoint, and service_load --verify all parse these names. A
-  // histogram with bounds {0.5, 2} must produce exactly these rows, in
-  // exactly this (lexicographic) order, with cumulative bucket counts.
+  // The snapshot row schema is load-bearing: bench --metrics-out files, the
+  // service's `metrics` endpoint, and service_load --verify all parse these
+  // names. A histogram with bounds {0.5, 2} must produce exactly these rows,
+  // in exactly this (lexicographic) order, with cumulative bucket counts.
   obs::MetricsRegistry reg;
   auto& h = reg.histogram("h", std::vector<double>{0.5, 2.0});
   h.observe(0.25);  // le 0.5

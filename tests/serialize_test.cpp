@@ -246,6 +246,11 @@ TEST(Serialize, MalformedInputsRejected) {
     }
   }
   EXPECT_TRUE(model::parse_machine("[machine]\ncpi = 0x1p-1\nf_ghz = +2.5\n"));
+  // A key that names no field is a typo, not a default.
+  EXPECT_FALSE(model::parse_machine("[machine]\ncpu = 0.5\n"));
+  EXPECT_FALSE(model::parse_machine("[machine]\nname = x\ncpi = 0.5\nCPI = 0.5\n"));
+  EXPECT_EQ(model::parse_workload("[workload EP]\nalhpa = 0.5\n"), nullptr);
+  EXPECT_EQ(model::parse_workload("[workload FT]\nname = FT\n"), nullptr);
 }
 
 // A model that lists no fields (a wrapper, say) has no text form.

@@ -1,7 +1,9 @@
 # `isoee_serve --stdin` speaks the line protocol on standard output: every
 # stdout line is one JSON object, a response. Status lines (the --trace-out,
 # --metrics-out and --prom-out notices and the closing summary) belong on
-# stderr, so a client can parse the whole stream.
+# stderr, so a client can parse the whole stream. The three artifacts must
+# also read back: a JSON metrics snapshot counting the 3 requests, a
+# Prometheus exposition ending in `# EOF`, and a trace that parses as JSON.
 #
 #   cmake -DSERVE=<path to isoee_serve> -DWORK=<scratch dir> -P serve_stdin.cmake
 foreach(var SERVE WORK)
@@ -43,3 +45,19 @@ foreach(line IN LISTS lines)
   endif()
 endforeach()
 message(STATUS "isoee_serve --stdin: ${count} stdout lines, all JSON objects")
+
+file(READ "${WORK}/metrics.json" snapshot)
+string(JSON requests ERROR_VARIABLE bad GET "${snapshot}" "service.requests" "value")
+if(bad OR NOT requests EQUAL 3)
+  message(FATAL_ERROR "metrics.json: service.requests is '${requests}' (${bad}), expected 3")
+endif()
+file(READ "${WORK}/metrics.prom" prom)
+if(NOT prom MATCHES "# EOF\n$")
+  message(FATAL_ERROR "metrics.prom does not end with '# EOF'")
+endif()
+file(READ "${WORK}/trace.json" trace)
+string(JSON trace_kind ERROR_VARIABLE bad TYPE "${trace}")
+if(bad OR NOT trace_kind STREQUAL "OBJECT")
+  message(FATAL_ERROR "trace.json is not a JSON object: ${bad}")
+endif()
+message(STATUS "isoee_serve --stdin: metrics.json, metrics.prom and trace.json read back")

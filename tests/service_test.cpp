@@ -781,6 +781,32 @@ TEST(Install, RejectsMalformedNumbersAndZeroFrequencies) {
   }
 }
 
+// A key no field lists, and a workload section for another app, used to
+// install: the typo kept the default, and an EP predict answered from FT.
+TEST(Install, RejectsUnknownKeysAndAWorkloadOfAnotherApp) {
+  const std::string machine = model::serialize(tools::nominal_machine_params(sim::system_g()));
+  const std::string workload = model::serialize(model::EpWorkload());
+  const std::string predict =
+      R"({"method":"predict","params":{"machine":"system_g","app":"EP","n":1e6,"p":4,"calibrated":true}})";
+  const std::pair<std::string, std::string> texts[] = {
+      {machine + "cpu = 0.5\n", workload},
+      {machine, workload + "alhpa = 0.5\n"},
+      {machine, model::serialize(model::FtWorkload())},
+  };
+  for (const auto& [machine_text, workload_text] : texts) {
+    Service svc{ServiceConfig{}};
+    const std::string install =
+        svc.handle_line(install_line(machine_text, workload_text));
+    EXPECT_EQ(error_code_of(parse_response(install)), "invalid_params") << install;
+    EXPECT_EQ(error_code_of(parse_response(svc.handle_line(predict))), "not_calibrated");
+  }
+  // The unedited texts install.
+  Service svc{ServiceConfig{}};
+  const auto installed = parse_response(svc.handle_line(install_line(machine, workload)));
+  ASSERT_NE(installed.find("result"), nullptr);
+  EXPECT_TRUE(installed.find("result")->find("installed")->boolean);
+}
+
 TEST(Drift, PerturbedInstallTripsWatchdogCleanInstallStaysGreen) {
   obs::drift().reset();
   ServiceConfig config;

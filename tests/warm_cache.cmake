@@ -31,7 +31,7 @@ file(REMOVE_RECURSE "${WORK}")
 function(run_driver label)
   execute_process(
     COMMAND "${BENCH}" --seed 42 ${ARGN} --csv-dir "${WORK}/${label}"
-            --metrics-out "${WORK}/${label}_metrics.csv"
+            --metrics-out "${WORK}/${label}_metrics.json"
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
@@ -39,16 +39,16 @@ function(run_driver label)
   endif()
 endfunction()
 
-# sim.runs_started from a --metrics-out CSV ("name,kind,value" rows). The
-# engine registers the counter at load time, so every run reports it, even
-# one that simulated nothing; a missing row is a failure.
+# sim.runs_started from a --metrics-out snapshot ({"<name>":{"kind":...,
+# "value":...},...}). The engine registers the counter at load time, so every
+# run reports it, even one that simulated nothing; a missing entry is a failure.
 function(runs_started label out)
-  file(STRINGS "${WORK}/${label}_metrics.csv" row REGEX "^sim\\.runs_started,")
-  if(row MATCHES "^sim\\.runs_started,counter,([0-9]+)$")
-    set(${out} "${CMAKE_MATCH_1}" PARENT_SCOPE)
-  else()
-    message(FATAL_ERROR "${label} metrics: missing or unreadable sim.runs_started row '${row}'")
+  file(READ "${WORK}/${label}_metrics.json" snapshot)
+  string(JSON runs ERROR_VARIABLE bad GET "${snapshot}" "sim.runs_started" "value")
+  if(bad OR NOT runs MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "${label} metrics: missing or unreadable sim.runs_started (${bad})")
   endif()
+  set(${out} "${runs}" PARENT_SCOPE)
 endfunction()
 
 # Fails unless every CSV under ${WORK}/<a> has a byte-identical twin under
